@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -5,6 +6,8 @@ import pytest
 
 import braidkit as bk
 from braidkit.config import get_prop, set_prop
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_defaults():
@@ -36,7 +39,7 @@ def test_env_override_applies_at_import():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "BRAIDKIT_BRAIDABSTOL": "1e-7"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "BRAIDKIT_BRAIDABSTOL": "1e-7"},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "1e-07"

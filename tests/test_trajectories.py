@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidkit as bk
 from braidkit import (
@@ -343,3 +348,211 @@ def test_crossings_from_data_records():
     events = crossings_from_data(trajectories_from_braid(b))
     assert [(c.pos, c.sign) for c in events] == [(1, 1), (2, 1), (3, -1)]
     assert all(events[i].t <= events[i + 1].t for i in range(len(events) - 1))
+
+
+# ------------------------------------- crossing sweep vs the pair-loop reference
+
+
+def _extract_pairwise(ts, angle):
+    """Reference crossing detection: every sample argsorted on its own, then
+    every particle pair scanned for sign changes of its projected distance."""
+    from braidkit.config import properties
+
+    if ts.nparticles < 2 or ts.nsamples < 2:
+        return [], [], list(range(ts.nparticles))
+    tol = properties().braid_abs_tol
+    rot = properties().gen_rot_dir
+    c, s = math.cos(angle), math.sin(angle)
+    proj = ts.positions[:, :, 0] * c + ts.positions[:, :, 1] * s
+    orth = -ts.positions[:, :, 0] * s + ts.positions[:, :, 1] * c
+    for k in range(ts.nsamples):
+        order = np.argsort(proj[k], kind="stable")
+        bad = np.nonzero(np.diff(proj[k][order]) <= tol)[0]
+        if bad.size:
+            i, j = int(order[bad[0]]) + 1, int(order[bad[0] + 1]) + 1
+            raise CoincidentProjectionError(
+                f"Paths of particles {j} and {i} have a coincident projection. "
+                "Try changing the projection angle."
+            )
+    events = []
+    for i in range(ts.nparticles):
+        for j in range(i + 1, ts.nparticles):
+            d = proj[:, i] - proj[:, j]
+            for k in np.nonzero(d[:-1] * d[1:] < 0)[0]:
+                frac = d[k] / (d[k] - d[k + 1])
+                tc = ts.times[k] + (ts.times[k + 1] - ts.times[k]) * frac
+                oi = orth[k, i] + frac * (orth[k + 1, i] - orth[k, i])
+                oj = orth[k, j] + frac * (orth[k + 1, j] - orth[k, j])
+                if abs(oi - oj) <= tol:
+                    raise CoincidentProjectionError(
+                        f"Paths of particles {i + 1} and {j + 1} have a coincident projection. "
+                        "Try changing the projection angle."
+                    )
+                oleft, oright = (oi, oj) if d[k] < 0 else (oj, oi)
+                events.append((float(tc), i, j, rot * (1 if oleft > oright else -1)))
+    events.sort(key=lambda e: e[0])
+    order = list(np.argsort(proj[0], kind="stable"))
+    posof = {p: k for k, p in enumerate(order)}
+    word, tcross = [], []
+    k = 0
+    while k < len(events):
+        group = [events[k]]
+        while k + len(group) < len(events) and events[k + len(group)][0] == group[0][0]:
+            group.append(events[k + len(group)])
+        touched = [p for (_, i, j, _) in group for p in (i, j)]
+        if len(set(touched)) != len(touched):
+            raise UndersampledDataError(
+                "simultaneous crossings share a strand; the data is undersampled"
+            )
+        group.sort(key=lambda e: min(posof[e[1]], posof[e[2]]))
+        for tc, i, j, sign in group:
+            pi, pj = posof[i], posof[j]
+            if abs(pi - pj) != 1:
+                raise UndersampledDataError(
+                    f"particles {i + 1} and {j + 1} swapped while not adjacent in "
+                    "projection; the data is undersampled"
+                )
+            word.append(sign * (min(pi, pj) + 1))
+            tcross.append(tc)
+            order[pi], order[pj] = order[pj], order[pi]
+            posof[order[pi]], posof[order[pj]] = pi, pj
+        k += len(group)
+    return word, tcross, order
+
+
+def _outcome(extract, ts, angle):
+    try:
+        word, tcross, order = extract(ts, angle)
+    except (CoincidentProjectionError, UndersampledDataError) as err:
+        return type(err), str(err)
+    return word, tcross, [int(p) for p in order]
+
+
+def _assert_sweep_matches(ts, angle=0.0):
+    from braidkit.trajectories import _extract
+
+    got, ref = _outcome(_extract, ts, angle), _outcome(_extract_pairwise, ts, angle)
+    assert got == ref
+    if isinstance(got[1], list):  # crossing times bitwise equal, not merely ==
+        assert np.array_equal(np.array(got[1]).view(np.int64), np.array(ref[1]).view(np.int64))
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    P=st.integers(1, 7),
+    T=st.integers(1, 14),
+    grid=st.sampled_from([0, 1, 2, 6, None, "ranks"]),
+    angle=st.sampled_from([0.0, 0.3, math.pi / 2]),
+)
+def test_sweep_matches_pair_loop_on_random_walks(seed, P, T, grid, angle):
+    rng = np.random.default_rng(seed)
+    pos = np.cumsum(rng.normal(size=(T, P, 2)), axis=0)
+    if grid == "ranks":
+        # every sample a shuffle of 0..P-1, jittered by about an ulp: many
+        # crossings meet at one projected point, tied or nearly so in time
+        ranks = rng.permuted(np.tile(np.arange(P, dtype=float), (T, 1)), axis=1)
+        pos[:, :, 0] = ranks + rng.choice([0.0, 1e-15, 3e-15], size=(T, P)) * rng.normal(size=(T, P))
+    elif grid is not None:  # coarse grids make ties, coincidences and wide swaps
+        pos = np.round(pos, grid)
+    times = np.cumsum(rng.uniform(0.1, 1.0, size=T))
+    _assert_sweep_matches(TrajectorySet(times=times, positions=pos), angle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    gens=st.lists(st.integers(1, 5), max_size=15),
+    signs=st.lists(st.booleans(), min_size=15, max_size=15),
+    stride=st.integers(1, 3),
+    angle=st.sampled_from([0.0, 0.01, -0.2]),
+    close=st.sampled_from(["none", "default", "mindist"]),
+)
+def test_sweep_matches_pair_loop_on_braid_diagrams(n, gens, signs, stride, angle, close):
+    word = [(g % (n - 1) + 1) * (1 if s else -1) for g, s in zip(gens, signs)]
+    ts = trajectories_from_braid(bk.make_braid(word, n))
+    # a stride above one drops samples, so some exchanges become undersampled
+    ts = TrajectorySet(times=ts.times[::stride], positions=ts.positions[::stride])
+    got = _assert_sweep_matches(closure(ts, close) if ts.nsamples >= 2 else ts, angle)
+    if stride == 1 and angle == 0.0 and close == "none":
+        assert got[0] == word
+
+
+def _linear_tracks(start, end):
+    return TrajectorySet(times=np.array([0.0, 1.0]), positions=np.array([start, end], dtype=float))
+
+
+def test_sweep_three_particles_meeting_at_one_projected_point_and_time():
+    ts = _linear_tracks([[-1, 1], [0, 0], [1, -1]], [[1, 1], [0, 0], [-1, -1]])
+    got = _assert_sweep_matches(ts)
+    assert got == (UndersampledDataError, "simultaneous crossings share a strand; the data is undersampled")
+
+
+def test_sweep_two_disjoint_simultaneous_swaps():
+    ts = _linear_tracks([[1, 0], [2, 1], [3, 0], [4, 1]], [[2, 0], [1, 1], [4, 0], [3, 1]])
+    word, tcross, order = _assert_sweep_matches(ts)
+    assert word == [-1, -3] and tcross == [0.5, 0.5] and order == [1, 0, 3, 2]
+
+
+def test_sweep_coincident_orthogonal_coordinate_at_a_crossing():
+    # particle 3 starts left of particle 1; the message names the lower index first
+    ts = _linear_tracks([[1, 0], [5, 3], [0, 0]], [[0, 0], [6, 3], [1, 0]])
+    got = _assert_sweep_matches(ts)
+    assert got == (
+        CoincidentProjectionError,
+        "Paths of particles 1 and 3 have a coincident projection. Try changing the projection angle.",
+    )
+
+
+def test_sweep_coincident_projection_at_a_sample():
+    ts = _linear_tracks([[0, 0], [1, 0], [2, 0]], [[0, 0], [1, 1], [0, 2]])
+    got = _assert_sweep_matches(ts)
+    assert got == (
+        CoincidentProjectionError,
+        "Paths of particles 3 and 1 have a coincident projection. Try changing the projection angle.",
+    )
+
+
+# ------------------------------------------------ db_compact vs the rescan loop
+
+
+def _db_compact_rescan(word):
+    """Reference: delete the first cancelling pair, then rescan from the start.
+    Returns the indices of the surviving generators."""
+    idx, word = list(range(len(word))), list(word)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(word)):
+            for l in range(k + 1, len(word)):
+                if word[l] == -word[k]:
+                    del word[l], idx[l], word[k], idx[k]
+                    changed = True
+                    break
+                if abs(abs(word[l]) - abs(word[k])) <= 1:
+                    break
+            if changed:
+                break
+    return idx
+
+
+@settings(max_examples=400, deadline=None)
+@given(gens=st.lists(st.integers(-5, 5).filter(bool), max_size=40))
+def test_db_compact_matches_rescan_loop(gens):
+    n = max([abs(g) for g in gens], default=0) + 1
+    db = DataBraid(braid=bk.make_braid(gens, n), tcross=tuple(range(len(gens))))
+    keep = _db_compact_rescan(gens)
+    out = db_compact(db)
+    assert out.tcross == tuple(keep)
+    assert out.braid.word == tuple(gens[k] for k in keep)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, braidkit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
