@@ -223,11 +223,18 @@ def loopcoords(b) -> Loop:
     """Canonical loop coordinates of a braid: its action on the basepoint
     multiloop.  Two braids are equal exactly when these agree."""
     word, n = _as_word_n(b)
+    a, bb = _canonical_image(_word_order(word), n)
+    return Loop(a=a, b=bb, basepoint=True)
+
+
+def _canonical_image(gens, n: int):
+    """Coordinates ``(a, b)`` of the canonical basepoint loop after applying
+    ``gens`` in the order given."""
     l = canonical_loop(n, basepoint=True)
     a, bb = list(l.a), list(l.b)
-    for k in _word_order(word):
+    for k in gens:
         _apply_gen(a, bb, k)
-    return Loop(a=tuple(a), b=tuple(bb), basepoint=True)
+    return tuple(a), tuple(bb)
 
 
 def cycle(b, l0: Loop | None = None, maxit: int = 1000) -> CycleResult:

@@ -64,12 +64,24 @@ class Braid:
         return equals(self, other)
 
     def __hash__(self):
-        # Words are not canonical, so hash only the strand count; equal
-        # braids with different words must not hash apart.
-        return hash(("braid", self.n))
+        # Equal braids have equal canonical coordinates; computed once.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(("braid", self.n, _canonical_key(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def to_json(self) -> dict:
         return {"n": self.n, "word": list(self.word), "annular": False}
+
+
+def _canonical_key(b: Braid):
+    """Canonical coordinates with the word applied first entry first, so
+    the key does not depend on the configured action direction (reversing
+    every word preserves equality)."""
+    if b.n < 2:
+        return ()
+    return action._canonical_image(b.word, b.n)
 
 
 def make_braid(word, n: int | None = None) -> Braid:
@@ -257,7 +269,11 @@ class AnnularBraid:
         return equals(self.to_braid(), other.to_braid())
 
     def __hash__(self):
-        return hash(("annbraid", self.nann))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(("annbraid", self.nann, _canonical_key(self.to_braid())))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def to_braid(self) -> Braid:
         """Rewrite over the standard generators on ``nann + 1`` strands.

@@ -8,6 +8,15 @@ dropped at the edges); its inverse replaces the row by ``(..., 1/t, -1/t,
 product of its generator matrices with the latest-applied factor leftmost,
 matching the loop-action convention.  The determinant of a word's matrix is
 ``(-t)**writhe``.
+
+Multiplying the product on the left by a generator matrix changes only row
+``i``: ``row[i] <- left*row[i-1] + diag*row[i] + right*row[i+1]``.  So a
+word of length ``L`` costs O(L*n) ring operations.  The same row update
+serves the symbolic mode (Laurent polynomial entries, constants ``t`` and
+``1/t``) and the evaluated mode (numbers; integer ``t`` stays exact through
+Fractions).  Determinants, and with them the Alexander polynomial, come from
+the fraction-free Bareiss elimination in :mod:`braidkit.linalg`, O(n^3)
+exact ring operations.
 """
 from __future__ import annotations
 
@@ -17,6 +26,7 @@ from fractions import Fraction
 
 from .braids import Braid, writhe
 from .laurent import LaurentPoly
+from .linalg import det_exact
 
 
 class FractionalPowersError(ValueError):
@@ -40,7 +50,7 @@ class BurauMatrix:
         return self.entries[i][j]
 
     def det(self):
-        return _det(self.entries)
+        return det_exact(self.entries)
 
     def to_json(self) -> dict:
         if self.symbolic:
@@ -50,41 +60,6 @@ class BurauMatrix:
         return {"dim": self.dim, "symbolic": self.symbolic, "entries": rows}
 
 
-def _sym_gen(i: int, n: int, positive: bool):
-    t = LaurentPoly.var()
-    tinv = LaurentPoly.term(1, -1)
-    one = LaurentPoly.const(1)
-    zero = LaurentPoly()
-    rows = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
-    r = i - 1
-    if positive:
-        left, diag, right = one, -t, t
-    else:
-        left, diag, right = tinv, -tinv, one
-    if r - 1 >= 0:
-        rows[r][r - 1] = left
-    rows[r][r] = diag
-    if r + 1 < n - 1:
-        rows[r][r + 1] = right
-    return rows
-
-
-def _num_gen(i: int, n: int, positive: bool, t):
-    tinv = _invert(t)
-    rows = [[1 if r == c else 0 for c in range(n - 1)] for r in range(n - 1)]
-    r = i - 1
-    if positive:
-        left, diag, right = 1, -t, t
-    else:
-        left, diag, right = tinv, -tinv, 1
-    if r - 1 >= 0:
-        rows[r][r - 1] = left
-    rows[r][r] = diag
-    if r + 1 < n - 1:
-        rows[r][r + 1] = right
-    return rows
-
-
 def _invert(t):
     if isinstance(t, numbers.Integral):
         f = Fraction(1, int(t))
@@ -92,58 +67,46 @@ def _invert(t):
     return 1 / t
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    first = rows[0][0]
-    zero_like = first - first if isinstance(first, LaurentPoly) else 0
-    total = zero_like
-    for j in range(n):
-        entry = rows[0][j]
-        if isinstance(entry, LaurentPoly) and entry.is_zero():
-            continue
-        if not isinstance(entry, LaurentPoly) and entry == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def _product_rows(word, dim: int, one, zero, t, tinv):
+    """Rows of the Burau product of ``word`` over the ring of ``t``, one row
+    update per generator."""
+    # acc[0] and acc[dim + 1] are zero rows, so every generator's row has
+    # both neighbours and the edge generators need no special case.
+    acc = [[zero] * dim]
+    acc += [[one if r == c else zero for c in range(dim)] for r in range(dim)]
+    acc.append([zero] * dim)
+    pos, neg = (one, -t, t), (tinv, -tinv, one)
+    for w in word:
+        left, diag, right = pos if w > 0 else neg
+        i = abs(w)
+        acc[i] = [zero + left * x + diag * y + right * z for x, y, z in zip(acc[i - 1], acc[i], acc[i + 1])]
+    return acc[1:-1]
 
 
 def burau(b: Braid, t=None):
     """Reduced Burau matrix of a braid.
 
     With ``t=None`` the entries are symbolic Laurent polynomials; otherwise
-    each generator matrix is evaluated at ``t`` first (integers stay exact
-    through Fractions).
+    they are numbers computed at ``t`` (integers stay exact through
+    Fractions).
     """
     n = b.n
     if n < 2:
         raise ValueError("need at least 2 strands")
     if t is None:
-        one = LaurentPoly.const(1)
-        zero = LaurentPoly()
-        acc = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
-        for w in b.word:
-            g = _sym_gen(abs(w), n, w > 0)
-            acc = _mat_mul(g, acc)
-        return BurauMatrix(entries=tuple(tuple(r) for r in acc), symbolic=True)
+        one, zero = LaurentPoly.const(1), LaurentPoly()
+        rows = _product_rows(b.word, n - 1, one, zero, LaurentPoly.var(), LaurentPoly.term(1, -1))
+        return BurauMatrix(entries=tuple(tuple(r) for r in rows), symbolic=True)
     if isinstance(t, numbers.Integral):
         t = int(t)
-    acc = [[1 if r == c else 0 for c in range(n - 1)] for r in range(n - 1)]
-    for w in b.word:
-        g = _num_gen(abs(w), n, w > 0, t)
-        acc = _mat_mul(g, acc)
-    acc = [[_simplify_num(x) for x in row] for row in acc]
-    return BurauMatrix(entries=tuple(tuple(r) for r in acc), symbolic=False)
+    tinv = _invert(t) if b.word else t  # the empty word needs no inverse, even at t = 0
+    rows = _product_rows(b.word, n - 1, 1, 0, t, tinv)
+    if len(b.word) > 1:
+        # Two generators mix every row with a t-valued one, so every entry,
+        # the untouched identity ones too, takes t's number type.
+        zero = 0 * t
+        rows = [[x + zero for x in row] for row in rows]
+    return BurauMatrix(entries=tuple(tuple(_simplify_num(x) for x in r) for r in rows), symbolic=False)
 
 
 def _simplify_num(x):
@@ -165,14 +128,8 @@ def alexander(b: Braid, centered: bool = False) -> LaurentPoly:
     B = burau(b)
     one = LaurentPoly.const(1)
     zero = LaurentPoly()
-    rows = [
-        [
-            (one if r == c else zero) - B.entries[r][c]
-            for c in range(n - 1)
-        ]
-        for r in range(n - 1)
-    ]
-    d = _det(rows)
+    rows = [[(one if r == c else zero) - x for c, x in enumerate(row)] for r, row in enumerate(B.entries)]
+    d = det_exact(rows)
     t = LaurentPoly.var()
     num = d * (one - t)
     den = one - t**n

@@ -248,7 +248,12 @@ def _cmd_entropy(args):
         print(f"Warning: {w.message}", file=sys.stderr)
     _emit(
         args,
-        {"entropy": result.value, "converged": result.converged, "iterations": result.iterations},
+        {
+            "entropy": result.value,
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "reason": result.reason,
+        },
         f"{result.value:.4f}",
     )
 

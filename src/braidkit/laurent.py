@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import operator
 from fractions import Fraction
 
 
@@ -18,7 +19,10 @@ class LaurentPoly:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        coeffs = list(self.coeffs)
+        coeffs = self.coeffs
+        if type(coeffs) is tuple and coeffs and coeffs[0] != 0 and coeffs[-1] != 0:
+            return  # already normalized, the common case for ring results
+        coeffs = list(coeffs)
         lowest = self.lowest
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
@@ -48,6 +52,9 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     @property
     def mindeg(self) -> int:
@@ -84,14 +91,14 @@ class LaurentPoly:
             return other
         if other.is_zero():
             return self
-        lo = min(self.lowest, other.lowest)
-        hi = max(self.lowest + len(self.coeffs), other.lowest + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.lowest - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.lowest - lo + i] += c
-        return LaurentPoly(lo, tuple(out))
+        lo, hi = (self, other) if self.lowest <= other.lowest else (other, self)
+        out = list(lo.coeffs)
+        start = hi.lowest - lo.lowest
+        end = start + len(hi.coeffs)
+        if end > len(out):
+            out.extend([0] * (end - len(out)))
+        out[start:end] = map(operator.add, out[start:end], hi.coeffs)
+        return LaurentPoly(lo.lowest, tuple(out))
 
     __radd__ = __add__
 
@@ -113,13 +120,18 @@ class LaurentPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        lowest = self.lowest + other.lowest
+        if len(self.coeffs) > len(other.coeffs):
+            self, other = other, self
+        if len(self.coeffs) == 1:  # a monomial: scale and shift
+            c = self.coeffs[0]
+            return LaurentPoly(lowest, tuple([c * d for d in other.coeffs]))
+        width = len(other.coeffs)
+        out = [0] * (len(self.coeffs) + width - 1)
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, d in enumerate(other.coeffs):
-                out[i + j] += c * d
-        return LaurentPoly(self.lowest + other.lowest, tuple(out))
+            if c:
+                out[i : i + width] = [x + c * d for x, d in zip(out[i : i + width], other.coeffs)]
+        return LaurentPoly(lowest, tuple(out))
 
     __rmul__ = __mul__
 
@@ -181,6 +193,13 @@ class LaurentPoly:
         if any(num):
             raise ValueError("division leaves a remainder")
         return LaurentPoly(self.lowest - other.lowest, tuple(q))
+
+    def __floordiv__(self, other):
+        """Exact division, as ``//`` is for integers that divide evenly."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.exact_div(other)
 
     def reciprocal_symmetric(self) -> bool:
         """True when p(z) == p(1/z) or p(z) == -p(1/z) coefficient-wise."""

@@ -1,13 +1,19 @@
-"""Exact integer-matrix helpers: products, determinants, characteristic polynomials.
+"""Exact matrix helpers: products, determinants, characteristic polynomials.
 
-Matrices are tuples of tuples of Python ints, so entries never overflow.
-The characteristic polynomial uses the division-free Berkowitz algorithm and
-the determinant uses fraction-free Bareiss elimination; both stay in the
-integers throughout.
+Matrices are sequences of rows.  Products and determinants work over any
+commutative ring whose elements support ``+``, ``-``, ``*`` and a zero test
+(``bool``): Python ints (which never overflow), ``LaurentPoly`` (the ring
+Z[t, 1/t] of the Burau matrices), and fields such as Fractions and floats.
+The determinant is fraction-free Bareiss elimination, O(n^3) ring operations
+whose divisions are all exact: ``//`` in Z and Z[t, 1/t], true division in a
+field.  The characteristic polynomial uses the division-free Berkowitz
+algorithm and stays in the integers throughout; the spectral radius is the
+one floating-point helper.
 """
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,8 +34,17 @@ def mat_vec(A, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in A)
 
 
+def _in_field(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, numbers.Integral)
+
+
 def det_exact(A):
-    """Determinant over the integers, by Bareiss fraction-free elimination."""
+    """Determinant by Bareiss fraction-free elimination.
+
+    Exact over the integers and over ``LaurentPoly`` entries, where every
+    division is an exact ``//`` (the Sylvester identity makes each
+    quotient a ring element); entries from a field divide with ``/``.
+    """
     n = len(A)
     if n == 0:
         return 1
@@ -37,16 +52,17 @@ def det_exact(A):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if M[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if M[r][k] != 0), None)
+        if not M[k][k]:
+            pivot = next((r for r in range(k + 1, n) if M[r][k]), None)
             if pivot is None:
-                return 0
+                return M[k][k]  # the zero of the entries' ring
             M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
+        field = _in_field(prev)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
+                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
+                M[i][j] = num / prev if field or _in_field(num) else num // prev
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
 

@@ -277,3 +277,48 @@ def test_annular_compact_respects_ring_generator():
     # no commutation through the ring generator
     stuck = bk.make_annular_braid([1, 3, -1], nann=3)
     assert len(bk.compact(stuck).word) == 3
+
+
+def test_hash_agrees_with_equality():
+    # braid relations give equal braids with different words
+    pairs = [
+        ([1, 2, 1], [2, 1, 2]),
+        ([1, 3], [3, 1]),
+        ([1, -1, 2], [2]),
+        ([2, 1, 2, -1], [1, 2]),
+    ]
+    for wa, wb in pairs:
+        a, b = bk.make_braid(wa, 4), bk.make_braid(wb, 4)
+        assert a == b and hash(a) == hash(b)
+    ring = bk.make_annular_braid([1, -2, 2], nann=3)
+    assert ring == bk.make_annular_braid([1], nann=3)
+    assert hash(ring) == hash(bk.make_annular_braid([1], nann=3))
+    # distinct braids on the same strands no longer share one hash
+    assert len({hash(bk.make_braid([k], 5)) for k in (1, 2, 3, 4, -1, -2)}) == 6
+
+
+def test_hash_ignores_action_direction():
+    a, b = bk.make_braid([1, 2, 1, -3]), bk.make_braid([2, 1, 2, -3])
+    before = hash(bk.make_braid(a.word))
+    bk.set_prop("GenLoopActDir", "rl")
+    try:
+        assert a == b and hash(a) == hash(b) == before
+    finally:
+        bk.set_prop("GenLoopActDir", "lr")
+
+
+def test_set_dedupes_like_pairwise_equality():
+    rng = random.Random(21)
+    braids = []
+    for _ in range(300):
+        n = rng.randint(3, 4)
+        braids.append(bk.make_braid([rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 6))], n))
+    # planted duplicates: free insertions and a commutation
+    braids += [bk.make_braid(list(b.word) + [1, -1], b.n) for b in braids[:40]]
+    braids += [bk.make_braid([1, 3] + list(b.word), 4) for b in braids[:20] if b.n == 4]
+    braids += [bk.make_braid([3, 1] + list(b.word), 4) for b in braids[:20] if b.n == 4]
+    reps = []
+    for b in braids:
+        if not any(r.n == b.n and r == b for r in reps):
+            reps.append(b)
+    assert len(set(braids)) == len(reps)

@@ -99,6 +99,14 @@ def test_cycle_iter_json(capsys):
     assert data["matrices"][0]["dim"] == 6
 
 
+def test_entropy_json_reason(capsys):
+    code, out, _ = run(capsys, "--json", "entropy", "1 2 -3")
+    data = json.loads(out)
+    assert code == 0 and data["converged"] and data["reason"] == "converged"
+    code, out, _ = run(capsys, "--json", "entropy", "1 2")
+    assert json.loads(out)["reason"] == "budget"
+
+
 def test_entropy_nonconvergence_warning(capsys):
     code, out, err = run(capsys, "entropy", "1 2")
     assert code == 0

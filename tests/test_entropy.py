@@ -124,3 +124,29 @@ def test_complexity_log_argument_is_integer():
 def test_entropy_result_float_conversion():
     r = EntropyResult(value=0.5, converged=True, iterations=10)
     assert float(r) == 0.5
+
+
+def test_entropy_result_reason_defaults_from_convergence():
+    assert EntropyResult(0.5, True, 10).reason == "converged"
+    assert EntropyResult(0.0, False, 1000).reason == "budget"
+    assert EntropyResult(0.0, False, 3, "nonfinite").reason == "nonfinite"
+
+
+def test_entropy_past_double_range_matches_exact_growth():
+    # (s1 s2^-1)^900 grows loops by about 866 nats per application, past
+    # the ~709-nat range of a double within one application
+    b = bk.make_braid([1, -2] * 900)
+    result = entropy(b)
+    assert result.converged and result.reason == "converged"
+    assert result.iterations < 20
+    # growth of the fourth application alone, in exact integers
+    l = bk.canonical_loop(3, basepoint=True)
+    exact = 4 * entropy_fixed_iterates(b, l, 4) - 3 * entropy_fixed_iterates(b, l, 3)
+    assert result.value == pytest.approx(exact, rel=1e-9)
+
+
+def test_entropy_reason_on_budget():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = entropy(bk.make_braid([1, 2]))
+    assert not result.converged and result.reason == "budget"
