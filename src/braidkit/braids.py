@@ -64,10 +64,11 @@ class Braid:
         return equals(self, other)
 
     def __hash__(self):
-        # Equal braids have equal canonical coordinates; computed once.
+        # Equal braids have equal canonical coordinates, computed once.  The
+        # key holds only ints, so the hash is the same in every process.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash(("braid", self.n, _canonical_key(self)))
+            h = hash((self.n, _canonical_key(self)))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -271,7 +272,7 @@ class AnnularBraid:
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash(("annbraid", self.nann, _canonical_key(self.to_braid())))
+            h = hash(self.to_braid())
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -1,8 +1,14 @@
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import braidkit as bk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_make_braid_defaults_to_minimal_strands():
@@ -322,3 +328,15 @@ def test_set_dedupes_like_pairwise_equality():
         if not any(r.n == b.n and r == b for r in reps):
             reps.append(b)
     assert len(set(braids)) == len(reps)
+
+
+def test_hash_survives_pickling_into_another_process():
+    b = bk.make_braid([2, 1, 2], 3)
+    hash(b)  # cached on the instance, so it travels with the pickle
+    code = (
+        "import pickle, sys; b = pickle.loads(sys.stdin.buffer.read()); "
+        "print(hash(b) == hash(type(b)(b.word, b.n)))"
+    )
+    env = {"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "random"}
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(b), capture_output=True, env=env, check=True)
+    assert out.stdout.strip() == b"True"
