@@ -101,12 +101,10 @@ def burau(b: Braid, t=None):
         t = int(t)
     tinv = _invert(t) if b.word else t  # the empty word needs no inverse, even at t = 0
     rows = _product_rows(b.word, n - 1, 1, 0, t, tinv)
-    if len(b.word) > 1:
-        # Two generators mix every row with a t-valued one, so every entry,
-        # the untouched identity ones too, takes t's number type.
-        zero = 0 * t
-        rows = [[x + zero for x in row] for row in rows]
-    return BurauMatrix(entries=tuple(tuple(_simplify_num(x) for x in r) for r in rows), symbolic=False)
+    # Once two generators have acted, every entry (the untouched identity
+    # ones too) has mixed with a t-valued one and takes t's number type.
+    zero = 0 * t if len(b.word) > 1 else 0
+    return BurauMatrix(entries=tuple(tuple(_simplify_num(x + zero) for x in r) for r in rows), symbolic=False)
 
 
 def _simplify_num(x):

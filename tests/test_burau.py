@@ -78,9 +78,11 @@ def _burau_by_products(b, t=None):
     return tuple(tuple(r) for r in acc)
 
 
-words = st.integers(2, 6).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])), max_size=12))
-)
+def _gens(n):
+    return st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+
+
+words = st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(_gens(n), max_size=12)))
 
 
 def rand_braid(rng, nmax=5, kmax=8):
