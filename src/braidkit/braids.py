@@ -65,24 +65,18 @@ class Braid:
 
     def __hash__(self):
         # Equal braids have equal canonical coordinates, computed once.  The
-        # key holds only ints, so the hash is the same in every process.
+        # word is applied first entry first whatever the configured action
+        # direction (reversing every word preserves equality), and the key
+        # holds only ints, so the hash is the same in every process.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.n, _canonical_key(self)))
+            key = action._canonical_image(self.word, self.n) if self.n > 1 else ()
+            h = hash((self.n, key))
             object.__setattr__(self, "_hash", h)
         return h
 
     def to_json(self) -> dict:
         return {"n": self.n, "word": list(self.word), "annular": False}
-
-
-def _canonical_key(b: Braid):
-    """Canonical coordinates with the word applied first entry first, so
-    the key does not depend on the configured action direction (reversing
-    every word preserves equality)."""
-    if b.n < 2:
-        return ()
-    return action._canonical_image(b.word, b.n)
 
 
 def make_braid(word, n: int | None = None) -> Braid:
