@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from . import braids
 from .config import properties
 from .linalg import charpoly as _charpoly_rows
 from .linalg import mat_mul, mat_vec, spectral_radius as _spectral_radius_rows
@@ -67,11 +68,10 @@ class CycleResult:
         return prod
 
 
-def _negate_a(a, rows_a):
-    for j in range(len(a)):
+def _negate_a(a, rows_a, lo: int, hi: int):
+    for j in range(lo, hi):
         a[j] = -a[j]
-    if rows_a is not None:
-        for j in range(len(a)):
+        if rows_a is not None:
             rows_a[j] = [-x for x in rows_a[j]]
 
 
@@ -83,9 +83,11 @@ def _apply_gen(a, b, k: int, rows_a=None, rows_b=None):
     if i < 1 or i > N - 1:
         raise ValueError(f"generator index {k} out of range for {N} punctures")
     if k < 0:
-        _negate_a(a, rows_a)
+        # the reflection matters only on the a-coordinates sigma_i reads
+        lo, hi = max(i - 2, 0), min(i, m)
+        _negate_a(a, rows_a, lo, hi)
         _apply_gen(a, b, i, rows_a, rows_b)
-        _negate_a(a, rows_a)
+        _negate_a(a, rows_a, lo, hi)
         return
     track = rows_a is not None
 
@@ -166,7 +168,7 @@ def _word_order(word):
     return tuple(word)
 
 
-def _check_compat(word, n: int, l: Loop):
+def _check_compat(n: int, l: Loop):
     if l.basepoint:
         if n > l.n:
             raise ValueError(
@@ -178,12 +180,6 @@ def _check_compat(word, n: int, l: Loop):
         )
 
 
-def _as_word_n(b):
-    if hasattr(b, "to_braid"):
-        b = b.to_braid()
-    return tuple(b.word), b.n
-
-
 def act(b, l):
     """Act on loop ``l`` (or a list of loops) with braid ``b``.
 
@@ -192,10 +188,10 @@ def act(b, l):
     """
     if isinstance(l, (list, tuple)):
         return [act(b, li) for li in l]
-    word, n = _as_word_n(b)
-    _check_compat(word, n, l)
+    b = braids._as_braid(b)
+    _check_compat(b.n, l)
     a, bb = list(l.a), list(l.b)
-    for k in _word_order(word):
+    for k in _word_order(b.word):
         _apply_gen(a, bb, k)
     return Loop(a=tuple(a), b=tuple(bb), basepoint=l.basepoint)
 
@@ -206,14 +202,14 @@ def act_with_matrix(b, l: Loop):
     The matrix satisfies ``entries @ coords(l) == coords(act(b, l))``
     exactly; it is valid only at loops sharing the same resolved branches.
     """
-    word, n = _as_word_n(b)
-    _check_compat(word, n, l)
+    b = braids._as_braid(b)
+    _check_compat(b.n, l)
     a, bb = list(l.a), list(l.b)
     m = len(a)
     d = 2 * m
     rows_a = [[1 if j == i else 0 for j in range(d)] for i in range(m)]
     rows_b = [[1 if j == m + i else 0 for j in range(d)] for i in range(m)]
-    for k in _word_order(word):
+    for k in _word_order(b.word):
         _apply_gen(a, bb, k, rows_a, rows_b)
     entries = tuple(tuple(r) for r in rows_a + rows_b)
     return Loop(a=tuple(a), b=tuple(bb), basepoint=l.basepoint), LinearAction(entries)
@@ -222,8 +218,8 @@ def act_with_matrix(b, l: Loop):
 def loopcoords(b) -> Loop:
     """Canonical loop coordinates of a braid: its action on the basepoint
     multiloop.  Two braids are equal exactly when these agree."""
-    word, n = _as_word_n(b)
-    a, bb = _canonical_image(_word_order(word), n)
+    b = braids._as_braid(b)
+    a, bb = _canonical_image(_word_order(b.word), b.n)
     return Loop(a=a, b=bb, basepoint=True)
 
 
@@ -246,10 +242,10 @@ def cycle(b, l0: Loop | None = None, maxit: int = 1000) -> CycleResult:
     basepoint loop), which is part of the contract: away from the
     pseudo-Anosov case different starting loops may give different cycles.
     """
-    word, n = _as_word_n(b)
+    b = braids._as_braid(b)
     if l0 is None:
-        l0 = canonical_loop(n, basepoint=True)
-    _check_compat(word, n, l0)
+        l0 = canonical_loop(b.n, basepoint=True)
+    _check_compat(b.n, l0)
     l = l0
     mats = []
     for _ in range(maxit):

@@ -110,18 +110,21 @@ def embed(b: Braid, n: int) -> Braid:
     return Braid(word=b.word, n=n)
 
 
-def inverse(b: Braid) -> Braid:
-    return Braid(word=tuple(-w for w in reversed(b.word)), n=b.n)
+def inverse(b):
+    """The inverse braid, of the same type as ``b``."""
+    return dataclasses.replace(b, word=tuple(-w for w in reversed(b.word)))
 
 
-def power(b: Braid, k: int) -> Braid:
+def power(b, k: int):
+    """``b`` to the ``k``-th power, of the same type as ``b``."""
     if k >= 0:
-        return Braid(word=b.word * k, n=b.n)
-    return Braid(word=inverse(b).word * (-k), n=b.n)
+        return dataclasses.replace(b, word=b.word * k)
+    return dataclasses.replace(b, word=inverse(b).word * (-k))
 
 
-def equals(a: Braid, b: Braid) -> bool:
+def equals(a, b) -> bool:
     """Exact group equality, via canonical loop coordinates."""
+    a, b = _as_braid(a), _as_braid(b)
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} != {b.n}")
     if a.word == b.word:
@@ -138,9 +141,10 @@ def istrivial(b: Braid) -> bool:
     return action.loopcoords(b) == action.loopcoords(identity_braid(b.n))
 
 
-def perm(b: Braid):
+def perm(b):
     """Permutation of strand positions: entry ``j`` is the strand (by start
     position, 1-based) that ends at position ``j+1``."""
+    b = _as_braid(b)
     p = list(range(1, b.n + 1))
     for w in b.word:
         i = abs(w) - 1
@@ -148,20 +152,21 @@ def perm(b: Braid):
     return tuple(p)
 
 
-def ispure(b: Braid) -> bool:
+def ispure(b) -> bool:
     return perm(b) == tuple(range(1, b.n + 1))
 
 
-def writhe(b: Braid) -> int:
-    return sum(1 if w > 0 else -1 for w in b.word)
+def writhe(b) -> int:
+    return sum(1 if w > 0 else -1 for w in _as_braid(b).word)
 
 
-def subbraid(b: Braid, keep) -> Braid:
+def subbraid(b, keep) -> Braid:
     """Braid of the kept strands only (1-based start positions, increasing).
 
     A crossing survives, re-indexed to the kept strands' current order, only
     when both of its strands are kept.
     """
+    b = _as_braid(b)
     keep = sorted(set(int(s) for s in keep))
     if not keep:
         raise ValueError("keep must be nonempty")
@@ -302,6 +307,12 @@ def _annular_gen_word(i: int, nann: int, positive: bool):
     if not positive:
         word = [-w for w in reversed(word)]
     return word
+
+
+def _as_braid(b) -> Braid:
+    """``b`` over the standard generators: an annular braid is rewritten by
+    :meth:`AnnularBraid.to_braid`, a braid is returned as it is."""
+    return b.to_braid() if isinstance(b, AnnularBraid) else b
 
 
 def make_annular_braid(word, nann: int | None = None) -> AnnularBraid:

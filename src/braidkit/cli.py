@@ -14,7 +14,6 @@ import sys
 import warnings
 
 from . import (
-    AnnularBraid,
     act,
     act_with_matrix,
     canonical_loop,
@@ -117,7 +116,7 @@ def _cmd_braid(args):
     elif op == "inverse":
         _braid_out(args, inverse(_braid_arg(args)))
     elif op == "power":
-        _braid_out(args, power(make_braid(_parse_word(args.word), args.n), args.k))
+        _braid_out(args, power(_braid_arg(args), args.k))
     elif op == "compact":
         _braid_out(args, compact(_braid_arg(args)))
     elif op == "equals":
@@ -126,10 +125,7 @@ def _cmd_braid(args):
         result = equals(a, b)
         _emit(args, {"equal": result}, "1" if result else "0")
     elif op == "istrivial":
-        b = _braid_arg(args)
-        if isinstance(b, AnnularBraid):
-            b = b.to_braid()
-        result = istrivial(b)
+        result = istrivial(_braid_arg(args))
         _emit(args, {"trivial": result}, "1" if result else "0")
     elif op == "perm":
         p = perm(_braid_arg(args))
@@ -348,13 +344,11 @@ def _cmd_prop(args):
 # ----------------------------------------------------------------- parser
 
 
-def _add_word_opts(p, fixture=True, annular=True):
+def _add_word_opts(p):
     p.add_argument("word", nargs="?", default="", help="space-separated signed generator indices")
     p.add_argument("--n", type=int, default=None, help="strand count (default: minimal)")
-    if fixture:
-        p.add_argument("--fixture", choices=sorted(TAFFY_FIXTURES), default=None)
-    if annular:
-        p.add_argument("--annular", action="store_true", help="treat the word as an annular braid")
+    p.add_argument("--fixture", choices=sorted(TAFFY_FIXTURES), default=None)
+    p.add_argument("--annular", action="store_true", help="treat the word as an annular braid")
 
 
 def build_parser() -> argparse.ArgumentParser:

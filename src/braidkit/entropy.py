@@ -1,22 +1,20 @@
 """Topological entropy estimation and one-step geometric complexity.
 
 The entropy of a braid is the exponential growth rate of loop length under
-iterated action.  The estimator iterates the action on the canonical
-basepoint multiloop in floating point, renormalizing the coordinates each
-round and watching the per-iterate growth of the axis-intersection count;
-it reports convergence only when five consecutive growth estimates agree to
-within the tolerance.  Finite-order and very-low-entropy braids never
-settle, in which case the result is zero with ``converged=False``,
-``reason="budget"`` and a warning.
+iterated action.  The estimator iterates the exact integer action on the
+canonical basepoint multiloop and watches the per-iterate growth of the
+axis-intersection count; it reports convergence only when five consecutive
+growth estimates agree to within the tolerance.  Finite-order and
+very-low-entropy braids never settle, in which case the result is zero with
+``converged=False``, ``reason="budget"`` and a warning.
 
-A word can grow the coordinates past the range of a double within one
-application (about 709 nats).  So every ``_CHUNK`` generators the
-coordinates are checked, and once their largest magnitude passes
-``2**_RESCALE_EXP`` they are scaled down by a power of two, whose exponent
-is added back to the growth.  The action is piecewise linear and a
-power-of-two scaling is exact, so this changes no result that fits in a
-double.  A non-finite coordinate stops the estimate at once with
-``reason="nonfinite"``.
+One normalisation keeps the integers short: every ``_CHUNK`` generators,
+every coordinate is shifted right by the number of bits its largest
+magnitude has beyond ``_BITS``, and the shift is added back to the growth as
+``shift * log 2``.  The action is piecewise linear and homogeneous, so the
+shift costs only the truncation of the low bits, a relative error of about
+``2**-_BITS`` per shift, and the work stays linear in the word length
+however fast the braid grows loops.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ import math
 import warnings
 
 from .action import _apply_gen, _word_order, act, loopcoords
-from .braids import Braid, power
+from .braids import _as_braid, power
 from .loops import Loop, _intaxis_from_ab, canonical_loop, intaxis, minlength
 
 NONCONVERGENCE_WARNING = (
@@ -33,22 +31,19 @@ NONCONVERGENCE_WARNING = (
     "or has low entropy.  Returning zero entropy."
 )
 
-NONFINITE_WARNING = "Loop coordinates became non-finite.  Returning zero entropy."
-
 _WINDOW = 5
 # One generator multiplies the largest coordinate by at most 7 (< 2**3), so
-# after a check at or below 2**_RESCALE_EXP the next _CHUNK generators stay
-# below 2**(_RESCALE_EXP + 3 * _CHUNK) = 2**704, far from overflow.
+# between two shifts the coordinates stay below 2**(_BITS + 3 * _CHUNK), and
+# the ratio of two intersection counts taken after a shift fits in a double.
 _CHUNK = 64
-_RESCALE_EXP = 512
-_RESCALE_AT = 2.0**_RESCALE_EXP
+_BITS = 64
+_LN2 = math.log(2)
 
 
 @dataclasses.dataclass(frozen=True)
 class EntropyResult:
-    """An entropy estimate and why the iteration stopped: ``"converged"``,
-    ``"budget"`` (``maxit`` iterations without settling) or ``"nonfinite"``
-    (the coordinates left the range of a double)."""
+    """An entropy estimate and why the iteration stopped: ``"converged"``
+    or ``"budget"`` (``maxit`` iterations without settling)."""
 
     value: float
     converged: bool
@@ -63,22 +58,11 @@ class EntropyResult:
         return self.value
 
 
-def _as_braid(b) -> Braid:
-    if hasattr(b, "to_braid"):
-        return b.to_braid()
-    return b
-
-
-def _peak(a, b) -> float:
-    return max(max(map(abs, a)), max(map(abs, b)))
-
-
 def entropy(b, tol: float = 1e-6, maxit: int = 1000) -> EntropyResult:
     """Iterative entropy estimate in natural-log units per braid application."""
     b = _as_braid(b)
     l0 = canonical_loop(b.n, basepoint=True)
-    a = [float(x) for x in l0.a]
-    bb = [float(x) for x in l0.b]
+    a, bb = list(l0.a), list(l0.b)
     word = _word_order(b.word)
     chunks = [word[s : s + _CHUNK] for s in range(0, len(word), _CHUNK)]
     window: list[float] = []
@@ -88,40 +72,19 @@ def entropy(b, tol: float = 1e-6, maxit: int = 1000) -> EntropyResult:
         for chunk in chunks:
             for k in chunk:
                 _apply_gen(a, bb, k)
-            peak = _peak(a, bb)
-            if peak > _RESCALE_AT:
-                if peak == math.inf:
-                    break
-                e = math.frexp(peak)[1]
-                for j in range(len(a)):
-                    a[j] = math.ldexp(a[j], -e)
-                    bb[j] = math.ldexp(bb[j], -e)
+            e = max(max(map(abs, a)), max(map(abs, bb))).bit_length() - _BITS
+            if e > 0:
+                a = [x >> e for x in a]
+                bb = [x >> e for x in bb]
                 shift += e
         m1 = _intaxis_from_ab(a, bb)
-        if not math.isfinite(m1):
-            warnings.warn(NONFINITE_WARNING)
-            return EntropyResult(value=0.0, converged=False, iterations=it, reason="nonfinite")
-        window.append(_log_ratio(m1, m0, shift))
+        window.append(math.log(m1 / m0) + shift * _LN2)
         if len(window) > _WINDOW:
             window.pop(0)
         if len(window) == _WINDOW and max(window) - min(window) <= tol:
             return EntropyResult(value=sum(window) / _WINDOW, converged=True, iterations=it)
-        scale = _peak(a, bb)
-        for j in range(len(a)):
-            a[j] /= scale
-            bb[j] /= scale
     warnings.warn(NONCONVERGENCE_WARNING)
     return EntropyResult(value=0.0, converged=False, iterations=maxit)
-
-
-def _log_ratio(m1: float, m0: float, shift: int) -> float:
-    """``log(2**shift * m1 / m0)``, rounded as the unscaled ratio would be
-    whenever that ratio is itself a finite double."""
-    r = m1 / m0
-    try:
-        return math.log(math.ldexp(r, shift))
-    except OverflowError:
-        return math.log(r) + shift * math.log(2)
 
 
 def entropy_fixed_iterates(b, l: Loop, k: int) -> float:

@@ -22,8 +22,6 @@ class RenderSpec:
     over_under: bool | None = None   # None: global default
     width: int = 480
     height: int = 360
-    stroke: str = "#1f4e79"
-    stroke_width: float = 2.0
 
     def resolved_direction(self) -> str:
         return self.direction or properties().braid_plot_dir
@@ -34,6 +32,8 @@ class RenderSpec:
         return self.over_under
 
 
+_STROKE = "#1f4e79"
+_STROKE_WIDTH = 2.0
 _PALETTE = ["#1f4e79", "#b2182b", "#2a7f3f", "#8c510a", "#6a51a3", "#01665e", "#c51b7d", "#4d4d4d"]
 
 
@@ -44,10 +44,10 @@ def _svg_header(width, height):
     )
 
 
-def _polyline(points, color, width, cls=""):
+def _polyline(points, color, cls=""):
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
     klass = f' class="{cls}"' if cls else ""
-    return f'<polyline{klass} points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+    return f'<polyline{klass} points="{pts}" fill="none" stroke="{color}" stroke-width="{_STROKE_WIDTH}"/>'
 
 
 def render_braid(b, spec: RenderSpec | None = None) -> str:
@@ -82,36 +82,36 @@ def render_braid(b, spec: RenderSpec | None = None) -> str:
             x = margin + t * st if direction == "lr" else W - margin - t * st
             return x, y
 
-    # follow each strand through the word; break the under strand at crossings
-    pos_of = list(range(1, n + 1))  # strand s (0-based) -> current position
-    segments = {s: [[xy(pos_of[s], 0)]] for s in range(n)}
+    # follow each strand through the word; a strand gets a point only where
+    # it enters or leaves a crossing, and the under strand breaks there
+    at = list(range(n))  # position q (0-based) -> strand there
+    segments = [[[xy(q + 1, 0)]] for q in range(n)]
     for k, w in enumerate(word):
         i = abs(w)
         t0, t1 = k, k + 1
-        at = {p: s for s, p in enumerate(pos_of)}
-        s_left, s_right = at[i], at[i + 1]
+        s_left, s_right = at[i - 1], at[i]
         # left strand passes over for a positive generator
         over_left = w > 0
         for s, p0, p1 in ((s_left, i, i + 1), (s_right, i + 1, i)):
+            seg, entry = segments[s][-1], xy(p0, t0)
+            if seg[-1] != entry:
+                seg.append(entry)
             is_over = (s == s_left) == over_left
             if is_over or not over_under:
-                segments[s][-1].append(xy(p1, t1))
+                seg.append(xy(p1, t1))
             else:
-                mid_t = t0 + 0.5
                 mid_q = (p0 + p1) / 2
                 gap = 0.18
                 qa = p0 + (mid_q - p0) * (1 - gap * 2)
                 ta = t0 + 0.5 * (1 - gap * 2)
-                segments[s][-1].append(xy(qa, ta))
+                seg.append(xy(qa, ta))
                 segments[s].append([xy(p1 - (p1 - mid_q) * (1 - gap * 2), t1 - 0.5 * (1 - gap * 2))])
                 segments[s][-1].append(xy(p1, t1))
-        for s in range(n):
-            if s not in (s_left, s_right):
-                segments[s][-1].append(xy(pos_of[s], t1))
-        pos_of[s_left], pos_of[s_right] = i + 1, i
-    if not word:
-        for s in range(n):
-            segments[s][-1].append(xy(pos_of[s], L))
+        at[i - 1], at[i] = s_right, s_left
+    for q, s in enumerate(at):
+        seg, end = segments[s][-1], xy(q + 1, L)
+        if seg[-1] != end:
+            seg.append(end)
 
     parts = [_svg_header(W, H)]
     for s in range(n):
@@ -120,7 +120,7 @@ def render_braid(b, spec: RenderSpec | None = None) -> str:
             color = "#2a7f3f"  # the fixed center of the annulus
         for seg in segments[s]:
             if len(seg) >= 2:
-                parts.append(_polyline(seg, color, spec.stroke_width, cls=f"strand strand-{s + 1}"))
+                parts.append(_polyline(seg, color, cls=f"strand strand-{s + 1}"))
     for k, w in enumerate(word):
         qx, qy = xy(abs(w) + 0.5, k + 0.5)
         parts.append(
@@ -243,6 +243,6 @@ def render_loop(l: Loop, spec: RenderSpec | None = None) -> str:
         fill = "#2a7f3f" if (l.basepoint and p == N) else "#222222"
         parts.append(f'<circle cx="{X(p):.2f}" cy="{Y0:.2f}" r="3.5" fill="{fill}"/>')
     for seg in paths:
-        parts.append(_polyline(seg, spec.stroke, spec.stroke_width, cls="loop-strand"))
+        parts.append(_polyline(seg, _STROKE, cls="loop-strand"))
     parts.append("</svg>")
     return "\n".join(parts)

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidkit as bk
+from braidkit.action import _apply_gen
 from braidkit.config import properties
 from braidkit.linalg import det_exact
 
@@ -247,3 +250,44 @@ def test_cycle_product_order():
 
     expected = mat_mul(r.matrices[1].entries, r.matrices[0].entries)
     assert r.product().entries == tuple(tuple(row) for row in expected)
+
+
+def _apply_gen_full_reflection(a, b, k, rows_a=None, rows_b=None):
+    """Inverse generators as the conjugate by the reflection that negates the
+    whole ``a`` half (and its tracked rows): the reference for the kernel,
+    which negates only the coordinates the generator reads."""
+    if k > 0:
+        _apply_gen(a, b, k, rows_a, rows_b)
+        return
+
+    def reflect():
+        for j in range(len(a)):
+            a[j] = -a[j]
+            if rows_a is not None:
+                rows_a[j] = [-x for x in rows_a[j]]
+
+    reflect()
+    _apply_gen(a, b, -k, rows_a, rows_b)
+    reflect()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_apply_gen_matches_full_reflection(data):
+    m = data.draw(st.integers(1, 7), label="m")
+    coords = st.lists(st.integers(-20, 20), min_size=m, max_size=m)
+    a, b = data.draw(coords, label="a"), data.draw(coords, label="b")
+    gens = st.integers(1, m + 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = data.draw(st.lists(gens, max_size=12), label="word")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="rows seed"))
+    rows = [[rng.randint(-3, 3) for _ in range(2 * m)] for _ in range(2 * m)]
+    got = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
+    ref = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
+    for k in word:
+        _apply_gen(*got[:2], k, *got[2:])
+        _apply_gen_full_reflection(*ref[:2], k, *ref[2:])
+    assert got == ref
+    plain = (list(a), list(b))
+    for k in word:
+        _apply_gen(*plain, k)
+    assert plain == (got[0], got[1])

@@ -253,6 +253,39 @@ def test_annular_conversion_preserves_equality_classes():
     assert a == b
 
 
+def test_annular_ring_generator_example():
+    ab = bk.make_annular_braid([3], nann=3)
+    assert bk.perm(ab) == (3, 2, 1, 4)
+    assert bk.subbraid(ab, [1, 2, 3]).word == (2, 1, -2)
+    inv = bk.inverse(ab)
+    assert isinstance(inv, bk.AnnularBraid) and inv.word == (-3,) and inv.nann == 3
+    assert bk.istrivial(ab * inv)
+    sq = bk.power(ab, -2)
+    assert isinstance(sq, bk.AnnularBraid) and sq.word == (-3, -3)
+    assert bk.writhe(bk.make_annular_braid([1], nann=1)) == 2
+    assert not bk.equals(ab, bk.make_braid([3], 4))
+    assert bk.equals(ab, ab.to_braid())
+
+
+@pytest.mark.parametrize("nann", [1, 2, 3, 4])
+def test_annular_ops_agree_with_converted_braid(nann):
+    rng = random.Random(nann)
+    for _ in range(30):
+        word = [rng.choice([1, -1]) * rng.randint(1, nann) for _ in range(rng.randint(0, 8))]
+        ab = bk.make_annular_braid(word, nann)
+        b = ab.to_braid()
+        assert bk.perm(ab) == bk.perm(b)
+        assert bk.ispure(ab) == bk.ispure(b)
+        assert bk.writhe(ab) == bk.writhe(b)
+        keep = sorted(rng.sample(range(1, nann + 2), rng.randint(1, nann + 1)))
+        assert bk.lexeq(bk.subbraid(ab, keep), bk.subbraid(b, keep))
+        for k in (-2, -1, 0, 3):
+            p = bk.power(ab, k)
+            assert isinstance(p, bk.AnnularBraid) and p.nann == nann
+            assert bk.equals(p.to_braid(), bk.power(b, k))
+        assert bk.inverse(ab) == bk.power(ab, -1)
+
+
 def test_display_and_json_round_trip():
     b = bk.make_braid([1, -2], 4)
     data = b.to_json()

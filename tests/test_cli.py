@@ -57,6 +57,17 @@ def test_braid_annular_display_and_conversion(capsys):
     assert out == "< 2 2 1 -2 -2 >"
 
 
+def test_braid_annular_ops(capsys):
+    assert run(capsys, "braid", "perm", "3", "--annular", "--n", "3")[1] == "3 2 1 4"
+    assert run(capsys, "braid", "inverse", "3", "--annular", "--n", "3")[1] == "< -3 >*"
+    assert run(capsys, "braid", "power", "3", "--annular", "--n", "3", "--k", "-2")[1] == "< -3 -3 >*"
+    out = run(capsys, "braid", "subbraid", "3", "--annular", "--n", "3", "--keep", "1 2 3")[1]
+    assert out == "< 2 1 -2 >"
+    assert run(capsys, "braid", "writhe", "1", "--annular", "--n", "1")[1] == "2"
+    assert run(capsys, "braid", "istrivial", "3 -3", "--annular")[1] == "1"
+    assert run(capsys, "braid", "istrivial", "3", "--annular", "--n", "3")[1] == "0"
+
+
 def test_taffy_fixtures(capsys):
     assert run(capsys, "braid", "make", "--fixture", "taffy3")[1] == "< -2 1 1 -2 >"
     assert run(capsys, "entropy", "--fixture", "taffy6")[1] == "2.6339"

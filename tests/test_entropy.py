@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 import braidkit as bk
+from braidkit.action import _apply_gen, _word_order
 from braidkit.entropy import (
     NONCONVERGENCE_WARNING,
     EntropyResult,
@@ -12,6 +13,7 @@ from braidkit.entropy import (
     entropy,
     entropy_fixed_iterates,
 )
+from braidkit.loops import _intaxis_from_ab, canonical_loop
 
 PINNED = [
     ([1, 2, -3], 0.8314),
@@ -150,3 +152,104 @@ def test_entropy_reason_on_budget():
         warnings.simplefilter("ignore")
         result = entropy(bk.make_braid([1, 2]))
     assert not result.converged and result.reason == "budget"
+
+
+# ----------------------------------------- reference: the float estimator
+
+
+def _entropy_float(b, tol=1e-6, maxit=1000):
+    """The former float estimator, kept as the reference for the exact one:
+    float coordinates divided by their peak after every iterate, rescaled by
+    powers of two inside the word, and stopped on a non-finite value."""
+    b = b.to_braid() if isinstance(b, bk.AnnularBraid) else b
+    l0 = canonical_loop(b.n, basepoint=True)
+    a = [float(x) for x in l0.a]
+    bb = [float(x) for x in l0.b]
+    word = _word_order(b.word)
+    chunks = [word[s : s + 64] for s in range(0, len(word), 64)]
+
+    def peak():
+        return max(max(map(abs, a)), max(map(abs, bb)))
+
+    window = []
+    for it in range(1, maxit + 1):
+        m0 = _intaxis_from_ab(a, bb)
+        shift = 0
+        for chunk in chunks:
+            for k in chunk:
+                _apply_gen(a, bb, k)
+            p = peak()
+            if p > 2.0**512:
+                if p == math.inf:
+                    break
+                e = math.frexp(p)[1]
+                for j in range(len(a)):
+                    a[j] = math.ldexp(a[j], -e)
+                    bb[j] = math.ldexp(bb[j], -e)
+                shift += e
+        m1 = _intaxis_from_ab(a, bb)
+        if not math.isfinite(m1):
+            return EntropyResult(0.0, False, it, "nonfinite")
+        r = m1 / m0
+        try:
+            window.append(math.log(math.ldexp(r, shift)))
+        except OverflowError:
+            window.append(math.log(r) + shift * math.log(2))
+        if len(window) > 5:
+            window.pop(0)
+        if len(window) == 5 and max(window) - min(window) <= tol:
+            return EntropyResult(sum(window) / 5, True, it)
+        scale = peak()
+        for j in range(len(a)):
+            a[j] /= scale
+            bb[j] /= scale
+    return EntropyResult(0.0, False, maxit)
+
+
+def _penner(n, L, seed):
+    """Pseudo-Anosov word by Penner's construction: sigma_i for odd i,
+    sigma_j^-1 for even j, every generator used."""
+    rng = random.Random(seed)
+    idx = list(range(1, n)) + [rng.randint(1, n - 1) for _ in range(L - n + 1)]
+    rng.shuffle(idx)
+    return bk.make_braid([i if i % 2 else -i for i in idx], n)
+
+
+PENNER_SIZES = [(3, 100), (4, 300), (6, 1000), (10, 3000), (15, 5000), (20, 10000)]
+
+FLOAT_REFERENCE_CASES = (
+    [pytest.param(bk.make_braid(w), id="pinned-" + "_".join(map(str, w))) for w, _ in PINNED]
+    + [pytest.param(bk.make_braid([1, 2]), id="budget")]
+    + [pytest.param(bk.make_braid([1, -2] * k), id=f"s1s2inv^{k}") for k in (400, 900)]
+    + [pytest.param(_penner(n, L, n * L), id=f"penner-n{n}-L{L}") for n, L in PENNER_SIZES]
+)
+
+
+@pytest.mark.parametrize("b", FLOAT_REFERENCE_CASES)
+def test_entropy_matches_float_reference(b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        exact, ref = entropy(b), _entropy_float(b)
+    assert exact.converged == ref.converged
+    assert exact.iterations == ref.iterations
+    assert exact.value == pytest.approx(ref.value, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,L", [(3, 100), (10, 3000)])
+def test_entropy_matches_exact_growth_on_long_words(n, L):
+    b = _penner(n, L, n * L)
+    result = entropy(b)
+    assert result.converged
+    # growth of the last application alone, in exact integers
+    k = result.iterations
+    l = bk.canonical_loop(n, basepoint=True)
+    exact = k * entropy_fixed_iterates(b, l, k) - (k - 1) * entropy_fixed_iterates(b, l, k - 1)
+    assert result.value == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("n,L", [(3, 100), (4, 20), (5, 40), (6, 60)])
+def test_entropy_matches_cycle_spectral_radius_on_penner_words(n, L):
+    b = _penner(n, L, n * L)
+    r = bk.cycle(b)
+    rate = math.log(bk.spectral_radius(r.product())) / r.period
+    assert entropy(b).value == pytest.approx(rate, rel=1e-8)

@@ -1,7 +1,10 @@
+import random
 import re
 
+import pytest
+
 import braidkit as bk
-from braidkit.render import RenderSpec, render_braid, render_loop
+from braidkit.render import _PALETTE, RenderSpec, _polyline, _svg_header, render_braid, render_loop
 
 
 def polylines(svg):
@@ -99,3 +102,109 @@ def test_render_loop_canonical_and_determinism():
     for g in range(N - 1):
         x0 = margin + (g + 1.5) * sx
         assert crossings_with_vertical(paths, x0) == inums.nu[g]
+
+
+def _render_braid_every_slot(b, spec=None):
+    """The former renderer, kept as the reference: every strand gets a point
+    in every time slot, crossing or not."""
+    spec = spec or RenderSpec()
+    direction = spec.resolved_direction()
+    over_under = spec.resolved_over_under()
+    annular = isinstance(b, bk.AnnularBraid)
+    word = b.word
+    n = b.n
+    L = max(len(word), 1)
+    margin = 30
+    W, H = spec.width, spec.height
+    if direction in ("bt", "tb"):
+        sq = (W - 2 * margin) / max(n - 1, 1)
+        st = (H - 2 * margin) / L
+
+        def xy(q, t):
+            return margin + (q - 1) * sq, (H - margin - t * st if direction == "bt" else margin + t * st)
+
+    else:
+        sq = (H - 2 * margin) / max(n - 1, 1)
+        st = (W - 2 * margin) / L
+
+        def xy(q, t):
+            return (margin + t * st if direction == "lr" else W - margin - t * st), margin + (q - 1) * sq
+
+    pos_of = list(range(1, n + 1))
+    segments = {s: [[xy(pos_of[s], 0)]] for s in range(n)}
+    for k, w in enumerate(word):
+        i = abs(w)
+        t0, t1 = k, k + 1
+        at = {p: s for s, p in enumerate(pos_of)}
+        s_left, s_right = at[i], at[i + 1]
+        over_left = w > 0
+        for s, p0, p1 in ((s_left, i, i + 1), (s_right, i + 1, i)):
+            is_over = (s == s_left) == over_left
+            if is_over or not over_under:
+                segments[s][-1].append(xy(p1, t1))
+            else:
+                mid_q = (p0 + p1) / 2
+                gap = 0.18
+                qa = p0 + (mid_q - p0) * (1 - gap * 2)
+                ta = t0 + 0.5 * (1 - gap * 2)
+                segments[s][-1].append(xy(qa, ta))
+                segments[s].append([xy(p1 - (p1 - mid_q) * (1 - gap * 2), t1 - 0.5 * (1 - gap * 2))])
+                segments[s][-1].append(xy(p1, t1))
+        for s in range(n):
+            if s not in (s_left, s_right):
+                segments[s][-1].append(xy(pos_of[s], t1))
+        pos_of[s_left], pos_of[s_right] = i + 1, i
+    if not word:
+        for s in range(n):
+            segments[s][-1].append(xy(pos_of[s], L))
+
+    parts = [_svg_header(W, H)]
+    for s in range(n):
+        color = _PALETTE[s % len(_PALETTE)]
+        if annular and s == n - 1:
+            color = "#2a7f3f"
+        for seg in segments[s]:
+            if len(seg) >= 2:
+                parts.append(_polyline(seg, color, cls=f"strand strand-{s + 1}"))
+    for k, w in enumerate(word):
+        qx, qy = xy(abs(w) + 0.5, k + 0.5)
+        parts.append(
+            f'<circle class="crossing {"over" if w > 0 else "under"}" data-slot="{k}" '
+            f'data-sign="{1 if w > 0 else -1}" cx="{qx:.2f}" cy="{qy:.2f}" r="0.5" '
+            f'fill="none" stroke="none"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def _drop_collinear(points):
+    out = []
+    for p in points:
+        while len(out) >= 2:
+            (x1, y1), (x2, y2) = out[-2], out[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) != 0:
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
+_POLYLINE = re.compile(r'points="[^"]*"')
+
+
+@pytest.mark.parametrize("direction", ["bt", "tb", "lr", "rl"])
+@pytest.mark.parametrize("over_under", [True, False])
+def test_render_braid_matches_every_slot_reference(direction, over_under):
+    rng = random.Random(f"{direction}-{over_under}")
+    spec = RenderSpec(direction=direction, over_under=over_under)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        word = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 25))]
+        b = bk.make_annular_braid(word, n - 1) if rng.random() < 0.2 else bk.make_braid(word, n)
+        svg, ref = render_braid(b, spec), _render_braid_every_slot(b, spec)
+        # everything but the point lists is byte-identical
+        assert _POLYLINE.sub("", svg) == _POLYLINE.sub("", ref)
+        got, want = polylines(svg), polylines(ref)
+        assert [_drop_collinear(p) for p in got] == [_drop_collinear(p) for p in want]
+        # points only at crossings and strand ends
+        assert sum(map(len, got)) <= 2 * n + 6 * len(word)
