@@ -13,7 +13,7 @@ b = bk.make_braid([1, -2])
 (out / "braid_lr.svg").write_text(render_braid(b, RenderSpec(direction="lr")))
 
 ann = bk.make_annular_braid([1, -2])
-(out / "annular.svg").write_text(render_braid(ann.to_braid()))
+(out / "annular.svg").write_text(render_braid(ann))
 
 l = bk.make_loop([-1, 1, -2, 0, -1, 0])
 (out / "loop.svg").write_text(render_loop(l))

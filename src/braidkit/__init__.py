@@ -55,28 +55,38 @@ from .braids import (
 from .laurent import LaurentPoly, laurent_from_json
 from .burau import BurauMatrix, FractionalPowersError, alexander, burau
 from .entropy import EntropyResult, complexity, entropy, entropy_fixed_iterates
-from .trajectories import (
-    CoincidentProjectionError,
-    Crossing,
-    DataBraid,
-    TrajectorySet,
-    UndersampledDataError,
-    braid_from_data,
-    closure,
-    crossings_from_data,
-    databraid_from_data,
-    databraid_from_json,
-    db_compact,
-    db_equals,
-    db_mul,
-    db_to_braid,
-    db_trunc,
-    ftbe,
-    load_trajectories,
-    save_trajectories_csv,
-    trajectories_from_braid,
-    trajectories_from_json,
-)
 from .render import RenderSpec, render_braid, render_loop
 
 __version__ = "0.1.0"
+
+# Trajectory analysis needs numpy; load it only when one of its names is used.
+_TRAJECTORY_NAMES = frozenset({
+    "CoincidentProjectionError",
+    "Crossing",
+    "DataBraid",
+    "TrajectorySet",
+    "UndersampledDataError",
+    "braid_from_data",
+    "closure",
+    "crossings_from_data",
+    "databraid_from_data",
+    "databraid_from_json",
+    "db_compact",
+    "db_equals",
+    "db_mul",
+    "db_to_braid",
+    "db_trunc",
+    "ftbe",
+    "load_trajectories",
+    "save_trajectories_csv",
+    "trajectories_from_braid",
+    "trajectories_from_json",
+})
+
+
+def __getattr__(name):
+    if name in _TRAJECTORY_NAMES:
+        from . import trajectories
+
+        return getattr(trajectories, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

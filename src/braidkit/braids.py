@@ -14,8 +14,7 @@ extra strand.
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+import math
 
 from . import action
 
@@ -95,9 +94,16 @@ def identity_braid(n: int = 2) -> Braid:
     return Braid(word=(), n=n)
 
 
-def mul(a: Braid, b: Braid) -> Braid:
+def mul(a, b):
     """Concatenate words; acting with ``mul(a, b)`` on a loop equals acting
-    with ``a`` first, then ``b``."""
+    with ``a`` first, then ``b``.
+
+    Two annular braids with the same ``nann`` give an annular braid; any
+    other annular factor is converted by :meth:`AnnularBraid.to_braid` first.
+    """
+    if type(a) is type(b) and a.n == b.n:
+        return dataclasses.replace(a, word=a.word + b.word)
+    a, b = _as_braid(a), _as_braid(b)
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} != {b.n}")
     return Braid(word=a.word + b.word, n=a.n)
@@ -185,8 +191,9 @@ def subbraid(b, keep) -> Braid:
     return Braid(word=tuple(word), n=len(keep))
 
 
-def tensor(a: Braid, b: Braid) -> Braid:
+def tensor(a, b) -> Braid:
     """Braids laid side by side; the second word shifts past the first's strands."""
+    a, b = _as_braid(a), _as_braid(b)
     shifted = tuple((w + a.n) if w > 0 else (w - a.n) for w in b.word)
     return Braid(word=a.word + shifted, n=a.n + b.n)
 
@@ -197,6 +204,8 @@ def random_braid(n: int, k: int, seed=None) -> Braid:
         raise ValueError("need at least 2 strands")
     if k < 0:
         raise ValueError("length must be nonnegative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     idx = rng.integers(1, n, size=k)
     sgn = rng.integers(0, 2, size=k) * 2 - 1
@@ -256,9 +265,7 @@ class AnnularBraid:
 
     def __mul__(self, other):
         if isinstance(other, AnnularBraid):
-            if self.nann != other.nann:
-                raise ValueError("annular puncture counts differ")
-            return AnnularBraid(word=self.word + other.word, nann=self.nann)
+            return mul(self, other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -332,35 +339,34 @@ def braid_from_json(data: dict):
 # ------------------------------------------------------------------ compact
 
 
-def _std_commutes(x: int, y: int) -> bool:
-    return abs(abs(x) - abs(y)) > 1
+def _cancel(word, ring):
+    """Indices of the generators that survive deleting cancelling pairs.
 
-
-def _free_reduce(word):
-    out = []
-    for w in word:
-        if out and out[-1] == -w:
-            out.pop()
+    A pair ``w, -w`` is deleted when everything strictly between the two
+    commutes with it; generators ``x, y`` commute when ``||x| - |y|| > 1``
+    and both are below ``ring``, so a generator at ``ring`` (an annular
+    braid's ring generator) commutes with nothing.  One left-to-right pass
+    over a stack of survivors finds every such pair, and no pair among the
+    survivors cancels.
+    """
+    # a generator at ring sits at NaN, which fails every commutation test
+    pos = [abs(w) if abs(w) < ring else math.nan for w in word]
+    keep = []
+    for m, w in enumerate(word):
+        p, s = pos[m], len(keep) - 1
+        while s >= 0 and abs(pos[keep[s]] - p) > 1:
+            s -= 1
+        if s >= 0 and word[keep[s]] == -w:
+            del keep[s]
         else:
-            out.append(w)
-    return out
+            keep.append(m)
+    return keep
 
 
-def _commuting_cancellation(word, commutes):
-    """Delete a pair w[k] == -w[l] when everything between commutes with w[k]."""
-    for k in range(len(word)):
-        wk = word[k]
-        for l in range(k + 1, len(word)):
-            if word[l] == -wk:
-                return word[:k] + word[k + 1 : l] + word[l + 1 :]
-            if not commutes(word[l], wk):
-                break
-    return None
-
-
-def _triple_rewrites(x, y, z):
-    """Braid-relation rewrites of the window (x, y, z), as word identities."""
-    if abs(abs(x) - abs(y)) != 1:
+def _triple_rewrites(x, y, z, ring):
+    """Braid-relation rewrites of the window (x, y, z), as word identities;
+    none moves a generator at ``ring``."""
+    if abs(abs(x) - abs(y)) != 1 or max(abs(x), abs(y)) >= ring:
         return ()
     same_sign = (x > 0) == (y > 0)
     if z == x and same_sign:
@@ -372,54 +378,40 @@ def _triple_rewrites(x, y, z):
     return ()
 
 
-def _reduce_pass(word, commutes):
-    word = _free_reduce(word)
-    while True:
-        shorter = _commuting_cancellation(word, commutes)
-        if shorter is None:
-            return word
-        word = _free_reduce(shorter)
+def _compact_word(word, ring):
+    def cancelled(w):
+        return [w[m] for m in _cancel(w, ring)]
 
-
-def _compact_word(word, commutes, rewritable):
-    word = _reduce_pass(word, commutes)
+    word = cancelled(word)
     improved = True
     while improved:
         improved = False
-        for k in range(len(word) - 2):
-            x, y, z = word[k], word[k + 1], word[k + 2]
-            if not (rewritable(x) and rewritable(y)):
-                continue
-            for rep in _triple_rewrites(x, y, z):
-                cand = _reduce_pass(word[:k] + list(rep) + word[k + 3 :], commutes)
+        k = 0
+        while k < len(word) - 2:
+            for rep in _triple_rewrites(word[k], word[k + 1], word[k + 2], ring):
+                cand = cancelled(word[:k] + list(rep) + word[k + 3 :])
                 if len(cand) < len(word):
-                    word = cand
-                    improved = True
+                    # windows left of k - 2 do not overlap the rewrite; a
+                    # cancellation can still reach them, so full scans repeat
+                    word, improved, k = cand, True, max(k - 2, 0)
                     break
-            if improved:
-                break
+            else:
+                k += 1
     return word
 
 
 def compact(b):
     """Heuristically shorten the word without changing the braid.
 
-    Repeats free cancellation, commutation-enabled cancellations, and local
-    braid-relation rewrites kept only when they lead to a shorter word.  The
-    result equals the input braid but is not guaranteed minimal.  For
-    annular braids only the ring generator's free cancellations apply to it;
+    Deletes cancelling pairs ``w, -w`` separated only by generators that
+    commute with them, in one stack pass, then tries the local braid-relation
+    rewrites of each window of three generators, keeping one only when it
+    and a new cancellation pass give a shorter word.  After a kept rewrite at
+    window ``k`` the scan resumes at window ``k - 2``; full scans repeat
+    until one keeps nothing.  The result equals the input braid and no single
+    rewrite shortens it, but it is not guaranteed minimal.  For annular
+    braids the ring generator commutes with nothing and is never rewritten;
     the moving-puncture generators follow the standard rules.
     """
-    if isinstance(b, AnnularBraid):
-        ring = b.nann
-
-        def commutes(x, y):
-            return abs(x) < ring and abs(y) < ring and _std_commutes(x, y)
-
-        def rewritable(x):
-            return abs(x) < ring
-
-        word = _compact_word(list(b.word), commutes, rewritable)
-        return AnnularBraid(word=tuple(word), nann=b.nann)
-    word = _compact_word(list(b.word), _std_commutes, lambda x: True)
-    return Braid(word=tuple(word), n=b.n)
+    ring = b.nann if isinstance(b, AnnularBraid) else b.n
+    return dataclasses.replace(b, word=tuple(_compact_word(list(b.word), ring)))

@@ -24,7 +24,7 @@ import dataclasses
 import numbers
 from fractions import Fraction
 
-from .braids import Braid, writhe
+from .braids import _as_braid
 from .laurent import LaurentPoly
 from .linalg import det_exact
 
@@ -83,13 +83,14 @@ def _product_rows(word, dim: int, one, zero, t, tinv):
     return acc[1:-1]
 
 
-def burau(b: Braid, t=None):
+def burau(b, t=None):
     """Reduced Burau matrix of a braid.
 
     With ``t=None`` the entries are symbolic Laurent polynomials; otherwise
     they are numbers computed at ``t`` (integers stay exact through
     Fractions).
     """
+    b = _as_braid(b)
     n = b.n
     if n < 2:
         raise ValueError("need at least 2 strands")
@@ -113,7 +114,7 @@ def _simplify_num(x):
     return x
 
 
-def alexander(b: Braid, centered: bool = False) -> LaurentPoly:
+def alexander(b, centered: bool = False) -> LaurentPoly:
     """Alexander-Conway polynomial of the braid closure.
 
     Computed as ``det(I - B(t)) * (1 - t) / (1 - t^n)`` from the symbolic
@@ -122,6 +123,7 @@ def alexander(b: Braid, centered: bool = False) -> LaurentPoly:
     half-integer (links of several components) this raises
     :class:`FractionalPowersError`.
     """
+    b = _as_braid(b)
     n = b.n
     B = burau(b)
     one = LaurentPoly.const(1)
@@ -141,9 +143,3 @@ def alexander(b: Braid, centered: bool = False) -> LaurentPoly:
         raise FractionalPowersError("Polynomial with fractional powers.")
     return poly.shift(-span // 2)
 
-
-def burau_det_matches_writhe(b: Braid) -> bool:
-    """Exact check that det(Burau) == (-t)**writhe."""
-    w = writhe(b)
-    expected = LaurentPoly.term(1 if w % 2 == 0 else -1, w)
-    return burau(b).det() == expected

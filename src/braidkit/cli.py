@@ -9,6 +9,7 @@ message on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -47,14 +48,6 @@ from .config import PROP_KEYS
 from .entropy import complexity, entropy
 from .linalg import poly_str
 from .render import RenderSpec, render_braid, render_loop
-from .trajectories import (
-    DataBraid,
-    closure,
-    databraid_from_data,
-    db_to_braid,
-    ftbe,
-    load_trajectories,
-)
 
 TAFFY_FIXTURES = {
     "taffy3": [-2, 1, 1, -2],
@@ -73,14 +66,20 @@ def _parse_word(text: str):
         raise ValueError(f"cannot parse word {text!r}: {exc}") from None
 
 
-def _braid_arg(args, attr="word"):
-    if getattr(args, "fixture", None):
-        word = TAFFY_FIXTURES[args.fixture]
-    else:
-        word = _parse_word(getattr(args, attr))
-    if getattr(args, "annular", False):
-        return make_annular_braid(word, getattr(args, "n", None))
-    return make_braid(word, getattr(args, "n", None))
+def _braid_arg(args, word=None):
+    """The braid of ``word`` (default: ``--fixture`` or the word argument),
+    read with ``--n`` and ``--annular``."""
+    if word is None:
+        word = TAFFY_FIXTURES[args.fixture] if args.fixture else _parse_word(args.word)
+    if args.annular:
+        return make_annular_braid(word, args.n)
+    return make_braid(word, args.n)
+
+
+def _other_arg(args, a):
+    """The second word of ``braid mul|equals``, as a braid of the first
+    braid's type and strand count."""
+    return dataclasses.replace(a, word=_parse_word(args.other))
 
 
 def _loop_arg(text: str, basepoint: bool):
@@ -110,9 +109,8 @@ def _cmd_braid(args):
     if op == "make":
         _braid_out(args, _braid_arg(args))
     elif op == "mul":
-        a = make_braid(_parse_word(args.word), args.n)
-        b = make_braid(_parse_word(args.other), a.n)
-        _braid_out(args, mul(a, b))
+        a = _braid_arg(args)
+        _braid_out(args, mul(a, _other_arg(args, a)))
     elif op == "inverse":
         _braid_out(args, inverse(_braid_arg(args)))
     elif op == "power":
@@ -120,9 +118,8 @@ def _cmd_braid(args):
     elif op == "compact":
         _braid_out(args, compact(_braid_arg(args)))
     elif op == "equals":
-        a = make_braid(_parse_word(args.word), args.n)
-        b = make_braid(_parse_word(args.other), a.n)
-        result = equals(a, b)
+        a = _braid_arg(args)
+        result = equals(a, _other_arg(args, a))
         _emit(args, {"equal": result}, "1" if result else "0")
     elif op == "istrivial":
         result = istrivial(_braid_arg(args))
@@ -137,9 +134,7 @@ def _cmd_braid(args):
         keep = _parse_word(args.keep)
         _braid_out(args, subbraid(_braid_arg(args), keep))
     elif op == "tensor":
-        a = make_braid(_parse_word(args.word), args.n)
-        b = make_braid(_parse_word(args.other))
-        _braid_out(args, tensor(a, b))
+        _braid_out(args, tensor(_braid_arg(args), _braid_arg(args, _parse_word(args.other))))
     elif op == "random":
         _braid_out(args, random_braid(args.strands, args.length, args.seed))
     elif op == "halftwist":
@@ -179,7 +174,7 @@ def _cmd_loop(args):
 
 
 def _cmd_act(args):
-    b = make_braid(_parse_word(args.word), args.n)
+    b = _braid_arg(args)
     l = _loop_arg(args.coords, args.basepoint)
     if args.matrix:
         image, M = act_with_matrix(b, l)
@@ -260,7 +255,7 @@ def _cmd_complexity(args):
 
 
 def _cmd_burau(args):
-    b = make_braid(_parse_word(args.word), args.n)
+    b = _braid_arg(args)
     if args.symbolic or args.at is None:
         B = burau(b)
         rows = [[p.display("t") for p in row] for row in B.entries]
@@ -283,12 +278,15 @@ def _fmt_num(x):
 
 
 def _cmd_alexander(args):
-    b = make_braid(_parse_word(args.word), args.n)
+    b = _braid_arg(args)
     poly = alexander(b, centered=args.centered)
     _emit(args, poly.to_json(), poly.display("z"))
 
 
-def _load_databraid(args) -> DataBraid:
+def _load_databraid(args):
+    # trajectory analysis loads numpy, which the other commands never need
+    from .trajectories import closure, databraid_from_data, load_trajectories
+
     ts = load_trajectories(args.file)
     if args.closure != "none":
         ts = closure(ts, args.closure)
@@ -304,10 +302,12 @@ def _cmd_fromdata(args):
             str(db.braid) + "\ntcross: " + " ".join(f"{t:g}" for t in db.tcross),
         )
     else:
-        _braid_out(args, db_to_braid(db))
+        _braid_out(args, db.braid)
 
 
 def _cmd_ftbe(args):
+    from .trajectories import ftbe
+
     db = _load_databraid(args)
     v = ftbe(db, T=args.T, norm=args.norm)
     _emit(args, {"ftbe": v}, f"{v:.4f}")
@@ -383,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=_cmd_loop)
 
     pa = sub.add_parser("act", help="act on a loop with a braid")
-    pa.add_argument("word")
+    _add_word_opts(pa)
     pa.add_argument("coords")
-    pa.add_argument("--n", type=int, default=None)
     pa.add_argument("--basepoint", action="store_true")
     pa.add_argument("--matrix", action="store_true", help="also print the effective linear action")
     pa.set_defaults(func=_cmd_act)
@@ -420,15 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     px.set_defaults(func=_cmd_complexity)
 
     pu = sub.add_parser("burau", help="reduced Burau matrix")
-    pu.add_argument("word")
-    pu.add_argument("--n", type=int, default=None)
+    _add_word_opts(pu)
     pu.add_argument("--at", default=None, help="evaluate the entries at this value of t")
     pu.add_argument("--symbolic", action="store_true")
     pu.set_defaults(func=_cmd_burau)
 
     pal = sub.add_parser("alexander", help="Alexander-Conway polynomial of the closure")
-    pal.add_argument("word")
-    pal.add_argument("--n", type=int, default=None)
+    _add_word_opts(pal)
     pal.add_argument("--centered", action="store_true")
     pal.set_defaults(func=_cmd_alexander)
 
@@ -449,10 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("render", help="render a braid or loop to SVG")
     pr.add_argument("kind", choices=["braid", "loop"])
-    pr.add_argument("word", help="braid word or loop coordinates")
-    pr.add_argument("--n", type=int, default=None)
-    pr.add_argument("--fixture", choices=sorted(TAFFY_FIXTURES), default=None)
-    pr.add_argument("--annular", action="store_true")
+    _add_word_opts(pr)  # a loop's coordinates go in the word argument
     pr.add_argument("--basepoint", action="store_true")
     pr.add_argument("--out", required=True, help="output SVG path")
     pr.add_argument("--direction", choices=["bt", "tb", "lr", "rl"], default=None)

@@ -68,12 +68,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return self.lowest + len(self.coeffs) - 1
 
-    def coeff(self, exponent: int):
-        k = exponent - self.lowest
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other):
@@ -200,15 +194,6 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         return self.exact_div(other)
-
-    def reciprocal_symmetric(self) -> bool:
-        """True when p(z) == p(1/z) or p(z) == -p(1/z) coefficient-wise."""
-        if self.is_zero():
-            return True
-        if self.mindeg != -self.maxdeg:
-            return False
-        rev = tuple(reversed(self.coeffs))
-        return rev == self.coeffs or rev == tuple(-c for c in self.coeffs)
 
     # -- display --------------------------------------------------------
 

@@ -15,12 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 
-import numpy as np
-
-
-def identity_matrix(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
 
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
@@ -98,21 +92,6 @@ def charpoly(A):
     return tuple(p)
 
 
-def companion_matrix(coeffs):
-    """Companion matrix of a monic polynomial given leading-first."""
-    if coeffs[0] != 1:
-        raise ValueError("polynomial must be monic")
-    n = len(coeffs) - 1
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        if i > 0:
-            row[i - 1] = 1
-        row[n - 1] = -coeffs[n - i]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def spectral_radius(A) -> float:
     """Largest eigenvalue modulus of an integer matrix.
 
@@ -120,6 +99,8 @@ def spectral_radius(A) -> float:
     (eigenvalues scale exactly), so arbitrarily large exact matrices are
     fine; the result keeps full double precision.
     """
+    import numpy as np
+
     n = len(A)
     if n == 0:
         return 0.0

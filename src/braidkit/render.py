@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .braids import AnnularBraid
+from .braids import AnnularBraid, _as_braid
 from .config import properties
 from .loops import Loop, intersec
 
@@ -51,11 +51,16 @@ def _polyline(points, color, cls=""):
 
 
 def render_braid(b, spec: RenderSpec | None = None) -> str:
-    """Braid diagram as an SVG document string."""
+    """Braid diagram as an SVG document string.
+
+    An annular braid is drawn as :meth:`AnnularBraid.to_braid`, with the
+    fixed center of the annulus, the last strand, in its own colour.
+    """
     spec = spec or RenderSpec()
     direction = spec.resolved_direction()
     over_under = spec.resolved_over_under()
     annular = isinstance(b, AnnularBraid)
+    b = _as_braid(b)
     word = b.word
     n = b.n
     L = max(len(word), 1)

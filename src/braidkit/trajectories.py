@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .action import act
-from .braids import Braid, mul, lexeq
+from .braids import Braid, _cancel, lexeq, mul
 from .config import properties
 from .loops import canonical_loop, intaxis, minlength
 
@@ -369,19 +369,13 @@ def db_compact(db: DataBraid) -> DataBraid:
 
     Only deletions are allowed, so crossing times keep their meaning: a pair
     ``w, -w`` is removed when every generator strictly between the two
-    commutes with them.  One left-to-right pass over a stack of survivors
-    finds every such pair.
+    commutes with them.  This is the cancellation pass of
+    :func:`braidkit.compact`, one left-to-right pass over a stack of
+    survivors; ``compact`` adds braid-relation rewrites, which would move
+    crossings in time.
     """
     word = db.braid.word
-    keep = []  # indices of the survivors so far; no pair among them cancels
-    for m, w in enumerate(word):
-        s = len(keep) - 1
-        while s >= 0 and abs(abs(word[keep[s]]) - abs(w)) > 1:
-            s -= 1
-        if s >= 0 and word[keep[s]] == -w:
-            del keep[s]
-        else:
-            keep.append(m)
+    keep = _cancel(word, db.braid.n)
     return DataBraid(
         braid=Braid(word=tuple(word[m] for m in keep), n=db.braid.n),
         tcross=tuple(db.tcross[m] for m in keep),

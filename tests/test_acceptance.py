@@ -12,7 +12,7 @@ import pytest
 
 import braidkit as bk
 from braidkit.entropy import NONCONVERGENCE_WARNING, complexity, entropy, entropy_fixed_iterates
-from braidkit.burau import alexander, burau, burau_det_matches_writhe, FractionalPowersError
+from braidkit.burau import alexander, burau, FractionalPowersError
 from braidkit.laurent import LaurentPoly
 from braidkit.linalg import det_exact
 from braidkit.trajectories import (
@@ -29,6 +29,7 @@ from braidkit.trajectories import (
 )
 
 import numpy as np
+from test_burau import burau_det_matches_writhe
 
 
 def report(num, text):

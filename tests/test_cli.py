@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -66,6 +67,48 @@ def test_braid_annular_ops(capsys):
     assert run(capsys, "braid", "writhe", "1", "--annular", "--n", "1")[1] == "2"
     assert run(capsys, "braid", "istrivial", "3 -3", "--annular")[1] == "1"
     assert run(capsys, "braid", "istrivial", "3", "--annular", "--n", "3")[1] == "0"
+
+
+def test_braid_annular_two_word_ops(capsys):
+    out = json.loads(run(capsys, "--json", "braid", "mul", "3", "3", "--annular", "--n", "3")[1])
+    assert out == {"n": 4, "word": [3, 3], "annular": True}
+    # sigma1 commutes with sigma3, but not with the ring generator
+    assert run(capsys, "braid", "equals", "1 3", "3 1", "--n", "4")[1] == "1"
+    assert run(capsys, "braid", "equals", "1 3", "3 1", "--annular", "--n", "3")[1] == "0"
+    out = json.loads(run(capsys, "--json", "braid", "tensor", "2", "1", "--annular", "--n", "2")[1])
+    assert out == {"n": 6, "word": [2, 2, 1, -2, -2, 4], "annular": False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "{w}", "0 0 -1 -1", "--matrix"],
+        ["burau", "{w}"],
+        ["burau", "{w}", "--at", "2"],
+        ["alexander", "{w}"],
+    ],
+)
+def test_annular_and_fixture_read_by_every_braid_command(capsys, argv):
+    ring = bk.make_annular_braid([1, 3, -2], nann=3)
+
+    def out(word, *opts):
+        return run(capsys, "--json", *[a.format(w=word) for a in argv], *opts)[1]
+
+    converted = " ".join(map(str, ring.to_braid().word))
+    assert out("1 3 -2", "--annular", "--n", "3") == out(converted, "--n", "4")
+    if argv[0] != "act":  # the taffy6 loop needs more coordinates
+        assert out("", "--fixture", "taffy6") == out("3 2 1 2 4 5 4 3 3 2 1 2 5 4 5 3")
+
+
+def test_render_reads_annular_braids(capsys, tmp_path):
+    ring = bk.make_annular_braid([1, 3, -2], nann=3)
+    svgs = []
+    for argv in (["1 3 -2", "--annular", "--n", "3"], [" ".join(map(str, ring.to_braid().word)), "--n", "4"]):
+        path = tmp_path / f"b{len(svgs)}.svg"
+        assert run(capsys, "render", "braid", *argv, "--out", str(path))[0] == 0
+        svgs.append(path.read_text())
+    crossings = [re.findall(r'<circle class="crossing[^>]*>', svg) for svg in svgs]
+    assert len(crossings[0]) == len(ring.to_braid().word) and crossings[0] == crossings[1]
 
 
 def test_taffy_fixtures(capsys):

@@ -5,14 +5,31 @@ import numpy as np
 
 from braidkit.linalg import (
     charpoly,
-    companion_matrix,
     det_exact,
-    identity_matrix,
     mat_mul,
     mat_vec,
     poly_str,
     spectral_radius,
 )
+
+
+def identity_matrix(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def companion_matrix(coeffs):
+    """Companion matrix of a monic polynomial given leading-first."""
+    if coeffs[0] != 1:
+        raise ValueError("polynomial must be monic")
+    n = len(coeffs) - 1
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i > 0:
+            row[i - 1] = 1
+        row[n - 1] = -coeffs[n - i]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def test_charpoly_2x2_matches_trace_det():

@@ -548,9 +548,18 @@ def test_db_compact_matches_rescan_loop(gens):
     assert out.braid.word == tuple(gens[k] for k in keep)
 
 
-def test_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize(
+    "module, work",
+    [
+        ("scipy", "pass"),
+        # numpy loads only with trajectories, random_braid and spectral_radius
+        ("numpy", "braidkit.entropy(braidkit.make_braid([1, -2]))"),
+    ],
+    ids=["scipy", "numpy"],
+)
+def test_import_leaves_module_unloaded(module, work):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, braidkit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, braidkit; {work}; print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
     )
