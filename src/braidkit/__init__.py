@@ -25,8 +25,6 @@ from .action import (
     act_with_matrix,
     loopcoords,
     cycle,
-    charpoly,
-    spectral_radius,
 )
 from .braids import (
     Braid,
@@ -53,6 +51,7 @@ from .braids import (
     braid_from_json,
 )
 from .laurent import LaurentPoly, laurent_from_json
+from .linalg import charpoly, log_spectral_radius, spectral_radius
 from .burau import BurauMatrix, FractionalPowersError, alexander, burau
 from .entropy import EntropyResult, complexity, entropy, entropy_fixed_iterates
 from .render import RenderSpec, render_braid, render_loop

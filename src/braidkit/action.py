@@ -3,7 +3,9 @@
 Each generator updates at most two of the ``(a_i, b_i)`` coordinate pairs
 through expressions built from ``max(., 0)`` / ``min(., 0)``.  Once the
 max/min branches are resolved by the actual coordinate values, the update is
-linear, so alongside the new coordinates we can extract the integer matrix
+linear.  The update is written once, in :func:`_apply_gen`, over ints; for
+:func:`act_with_matrix` each coordinate also carries its matrix row (a
+``_Form``), so the same update yields both the image and the integer matrix
 that realizes the action at that particular loop.  Iterating a braid makes
 this matrix sequence eventually periodic; :func:`cycle` detects the limit
 cycle.
@@ -20,11 +22,11 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 from . import braids
 from .config import properties
-from .linalg import charpoly as _charpoly_rows
-from .linalg import mat_mul, mat_vec, spectral_radius as _spectral_radius_rows
+from .linalg import mat_mul, mat_vec
 from .loops import Loop, canonical_loop
 
 
@@ -68,15 +70,41 @@ class CycleResult:
         return prod
 
 
-def _negate_a(a, rows_a, lo: int, hi: int):
-    for j in range(lo, hi):
-        a[j] = -a[j]
-        if rows_a is not None:
-            rows_a[j] = [-x for x in rows_a[j]]
+class _Form(list):
+    """A coordinate that carries its matrix row: ``[value, *row]``, where
+    ``value`` is ``row`` applied to the start.  ``+`` and ``-`` act entrywise,
+    comparisons read the value, and the int 0 of an unresolved max/min branch
+    (falsy, unlike any form) is the identity."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not other:
+            return self
+        return _Form(map(operator.add, self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not other:
+            return self
+        return _Form(map(operator.sub, self, other))
+
+    def __rsub__(self, other):
+        return -self
+
+    def __neg__(self):
+        return _Form(map(operator.neg, self))
+
+    def __gt__(self, other):
+        return self[0] > other
+
+    def __lt__(self, other):
+        return self[0] < other
 
 
-def _apply_gen(a, b, k: int, rows_a=None, rows_b=None):
-    """Apply signed generator k in place; update transform rows if given."""
+def _apply_gen(a, b, k: int):
+    """Apply signed generator k in place to int or :class:`_Form` coordinates."""
     m = len(a)
     N = m + 2
     i = abs(k)
@@ -85,22 +113,17 @@ def _apply_gen(a, b, k: int, rows_a=None, rows_b=None):
     if k < 0:
         # the reflection matters only on the a-coordinates sigma_i reads
         lo, hi = max(i - 2, 0), min(i, m)
-        _negate_a(a, rows_a, lo, hi)
-        _apply_gen(a, b, i, rows_a, rows_b)
-        _negate_a(a, rows_a, lo, hi)
+        for j in range(lo, hi):
+            a[j] = -a[j]
+        _apply_gen(a, b, i)
+        for j in range(lo, hi):
+            a[j] = -a[j]
         return
-    track = rows_a is not None
 
     if i == 1:
         a0, b0 = a[0], b[0]
         bn = a0 + (b0 if b0 > 0 else 0)
         an = -b0 + (bn if bn > 0 else 0)
-        if track:
-            ra, rb = rows_a[0], rows_b[0]
-            z = [0] * len(ra)
-            rbn = [x + y for x, y in zip(ra, rb if b0 > 0 else z)]
-            ran = [y - x for x, y in zip(rb, rbn if bn > 0 else z)]
-            rows_a[0], rows_b[0] = ran, rbn
         a[0], b[0] = an, bn
         return
 
@@ -108,12 +131,6 @@ def _apply_gen(a, b, k: int, rows_a=None, rows_b=None):
         a0, b0 = a[m - 1], b[m - 1]
         bn = a0 + (b0 if b0 < 0 else 0)
         an = -b0 + (bn if bn < 0 else 0)
-        if track:
-            ra, rb = rows_a[m - 1], rows_b[m - 1]
-            z = [0] * len(ra)
-            rbn = [x + y for x, y in zip(ra, rb if b0 < 0 else z)]
-            ran = [y - x for x, y in zip(rb, rbn if bn < 0 else z)]
-            rows_a[m - 1], rows_b[m - 1] = ran, rbn
         a[m - 1], b[m - 1] = an, bn
         return
 
@@ -133,23 +150,6 @@ def _apply_gen(a, b, k: int, rows_a=None, rows_b=None):
     nb_1 = b2 + nc
     na2 = a2 - nb2 - nu
     nb_2 = b1 - nc
-    if track:
-        ra1, ra2, rb1, rb2 = rows_a[j1], rows_a[j2], rows_b[j1], rows_b[j2]
-        z = [0] * len(ra1)
-        rpb2 = rb2 if b2 > 0 else z
-        rnb1 = rb1 if b1 < 0 else z
-        rc = [w - x - y + v for w, x, y, v in zip(ra1, ra2, rpb2, rnb1)]
-        rpb1 = rb1 if b1 > 0 else z
-        rt = [x + y for x, y in zip(rpb2, rc)]
-        rpt = rt if t > 0 else z
-        rnc = rc if c < 0 else z
-        rnb2 = rb2 if b2 < 0 else z
-        ru = [x - y for x, y in zip(rnb1, rc)]
-        rnu = ru if u < 0 else z
-        rows_a[j1] = [w - x - y for w, x, y in zip(ra1, rpb1, rpt)]
-        rows_b[j1] = [x + y for x, y in zip(rb2, rnc)]
-        rows_a[j2] = [w - x - y for w, x, y in zip(ra2, rnb2, rnu)]
-        rows_b[j2] = [x - y for x, y in zip(rb1, rnc)]
     a[j1], a[j2], b[j1], b[j2] = na1, na2, nb_1, nb_2
 
 
@@ -204,15 +204,13 @@ def act_with_matrix(b, l: Loop):
     """
     b = braids._as_braid(b)
     _check_compat(b.n, l)
-    a, bb = list(l.a), list(l.b)
-    m = len(a)
-    d = 2 * m
-    rows_a = [[1 if j == i else 0 for j in range(d)] for i in range(m)]
-    rows_b = [[1 if j == m + i else 0 for j in range(d)] for i in range(m)]
+    d = len(l.coords)
+    forms = [_Form([x] + [int(i == j) for j in range(d)]) for i, x in enumerate(l.coords)]
+    a, bb = forms[: d // 2], forms[d // 2 :]
     for k in _word_order(b.word):
-        _apply_gen(a, bb, k, rows_a, rows_b)
-    entries = tuple(tuple(r) for r in rows_a + rows_b)
-    return Loop(a=tuple(a), b=tuple(bb), basepoint=l.basepoint), LinearAction(entries)
+        _apply_gen(a, bb, k)
+    image = Loop(a=tuple(f[0] for f in a), b=tuple(f[0] for f in bb), basepoint=l.basepoint)
+    return image, LinearAction(tuple(tuple(f[1:]) for f in a + bb))
 
 
 def loopcoords(b) -> Loop:
@@ -265,16 +263,3 @@ def cycle(b, l0: Loop | None = None, maxit: int = 1000) -> CycleResult:
     raise CycleNotFoundError(
         f"no limit cycle of the effective linear action within {maxit} iterations"
     )
-
-
-def charpoly(M):
-    """Exact characteristic polynomial of a LinearAction (or raw rows),
-    leading coefficient first."""
-    rows = M.entries if isinstance(M, LinearAction) else M
-    return _charpoly_rows(rows)
-
-
-def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus of a LinearAction (or raw rows)."""
-    rows = M.entries if isinstance(M, LinearAction) else M
-    return _spectral_radius_rows(rows)

@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,8 +7,8 @@ Z[t, 1/t] of the Burau matrices), and fields such as Fractions and floats.
 The determinant is fraction-free Bareiss elimination, O(n^3) ring operations
 whose divisions are all exact: ``//`` in Z and Z[t, 1/t], true division in a
 field.  The characteristic polynomial uses the division-free Berkowitz
-algorithm and stays in the integers throughout; the spectral radius is the
-one floating-point helper.
+algorithm and stays in the ring of the entries throughout; the spectral
+radius and its logarithm are the floating-point helpers.
 """
 from __future__ import annotations
 
@@ -65,9 +65,11 @@ def charpoly(A):
     """Characteristic polynomial coefficients, leading coefficient first.
 
     Returns the monic coefficient vector ``[1, c_{n-1}, ..., c_0]`` of
-    ``det(xI - A)``, computed division-free (Berkowitz), exact over the
-    integers.
+    ``det(xI - A)``, computed division-free (Berkowitz), so exact over the
+    integers and over ``LaurentPoly``.  ``A`` is raw rows or any matrix
+    with ``.entries`` (``LinearAction``, ``BurauMatrix``).
     """
+    A = getattr(A, "entries", A)
     n = len(A)
     if n == 0:
         return (1,)
@@ -92,25 +94,36 @@ def charpoly(A):
     return tuple(p)
 
 
-def spectral_radius(A) -> float:
-    """Largest eigenvalue modulus of an integer matrix.
-
-    Entries too large for floats are rescaled by a power of two first
-    (eigenvalues scale exactly), so arbitrarily large exact matrices are
-    fine; the result keeps full double precision.
-    """
+def _shifted_radius(A):
+    """``(r, shift)`` with ``r * 2**shift`` the largest eigenvalue modulus of
+    ``A``.  Entries past 500 bits are shifted right first (eigenvalues scale
+    exactly), so any exact matrix is fine and ``r`` keeps double precision."""
     import numpy as np
 
-    n = len(A)
-    if n == 0:
-        return 0.0
-    maxabs = max(abs(x) for row in A for x in row)
+    A = getattr(A, "entries", A)
+    maxabs = max((abs(x) for row in A for x in row), default=0)
     if maxabs == 0:
-        return 0.0
+        return 0.0, 0
     shift = max(0, maxabs.bit_length() - 500)
-    M = np.array([[float(x >> shift) if shift else float(x) for x in row] for row in A])
-    eig = np.linalg.eigvals(M)
-    return math.ldexp(float(np.max(np.abs(eig))), shift)
+    M = np.array([[float(x >> shift) for x in row] for row in A])
+    return float(np.max(np.abs(np.linalg.eigvals(M)))), shift
+
+
+def spectral_radius(A) -> float:
+    """Largest eigenvalue modulus of an integer matrix (raw rows or any
+    matrix with ``.entries``)."""
+    r, shift = _shifted_radius(A)
+    try:
+        return math.ldexp(r, shift)
+    except OverflowError:
+        raise OverflowError(f"spectral radius {r:g} * 2**{shift} overflows a float; use log_spectral_radius") from None
+
+
+def log_spectral_radius(A) -> float:
+    """Natural log of :func:`spectral_radius`, finite at any size (``-inf``
+    for a nilpotent matrix)."""
+    r, shift = _shifted_radius(A)
+    return math.log(r) + shift * math.log(2) if r else -math.inf
 
 
 def poly_str(coeffs, var: str = "x") -> str:

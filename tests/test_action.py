@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidkit as bk
-from braidkit.action import _apply_gen
+from braidkit.action import _Form, _apply_gen
 from braidkit.config import properties
 from braidkit.linalg import det_exact
 
@@ -252,42 +252,167 @@ def test_cycle_product_order():
     assert r.product().entries == tuple(tuple(row) for row in expected)
 
 
-def _apply_gen_full_reflection(a, b, k, rows_a=None, rows_b=None):
-    """Inverse generators as the conjugate by the reflection that negates the
-    whole ``a`` half (and its tracked rows): the reference for the kernel,
-    which negates only the coordinates the generator reads."""
-    if k > 0:
-        _apply_gen(a, b, k, rows_a, rows_b)
+def _negate_a(a, rows_a, lo, hi):
+    for j in range(lo, hi):
+        a[j] = -a[j]
+        if rows_a is not None:
+            rows_a[j] = [-x for x in rows_a[j]]
+
+
+def _apply_gen_tracked(a, b, k, rows_a=None, rows_b=None):
+    """Generator update written out twice, on the coordinates and again on
+    the matrix rows ``rows_a``/``rows_b``: the reference for
+    :func:`_apply_gen` on forms."""
+    m = len(a)
+    N = m + 2
+    i = abs(k)
+    if i < 1 or i > N - 1:
+        raise ValueError(f"generator index {k} out of range for {N} punctures")
+    if k < 0:
+        lo, hi = max(i - 2, 0), min(i, m)
+        _negate_a(a, rows_a, lo, hi)
+        _apply_gen_tracked(a, b, i, rows_a, rows_b)
+        _negate_a(a, rows_a, lo, hi)
+        return
+    track = rows_a is not None
+
+    if i == 1:
+        a0, b0 = a[0], b[0]
+        bn = a0 + (b0 if b0 > 0 else 0)
+        an = -b0 + (bn if bn > 0 else 0)
+        if track:
+            ra, rb = rows_a[0], rows_b[0]
+            z = [0] * len(ra)
+            rbn = [x + y for x, y in zip(ra, rb if b0 > 0 else z)]
+            ran = [y - x for x, y in zip(rb, rbn if bn > 0 else z)]
+            rows_a[0], rows_b[0] = ran, rbn
+        a[0], b[0] = an, bn
         return
 
-    def reflect():
-        for j in range(len(a)):
-            a[j] = -a[j]
-            if rows_a is not None:
-                rows_a[j] = [-x for x in rows_a[j]]
+    if i == N - 1:
+        a0, b0 = a[m - 1], b[m - 1]
+        bn = a0 + (b0 if b0 < 0 else 0)
+        an = -b0 + (bn if bn < 0 else 0)
+        if track:
+            ra, rb = rows_a[m - 1], rows_b[m - 1]
+            z = [0] * len(ra)
+            rbn = [x + y for x, y in zip(ra, rb if b0 < 0 else z)]
+            ran = [y - x for x, y in zip(rb, rbn if bn < 0 else z)]
+            rows_a[m - 1], rows_b[m - 1] = ran, rbn
+        a[m - 1], b[m - 1] = an, bn
+        return
 
-    reflect()
-    _apply_gen(a, b, -k, rows_a, rows_b)
-    reflect()
+    j1, j2 = i - 2, i - 1
+    a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
+    pb2 = b2 if b2 > 0 else 0
+    nb1 = b1 if b1 < 0 else 0
+    c = a1 - a2 - pb2 + nb1
+    pb1 = b1 if b1 > 0 else 0
+    t = pb2 + c
+    pt = t if t > 0 else 0
+    nc = c if c < 0 else 0
+    nb2 = b2 if b2 < 0 else 0
+    u = nb1 - c
+    nu = u if u < 0 else 0
+    na1 = a1 - pb1 - pt
+    nb_1 = b2 + nc
+    na2 = a2 - nb2 - nu
+    nb_2 = b1 - nc
+    if track:
+        ra1, ra2, rb1, rb2 = rows_a[j1], rows_a[j2], rows_b[j1], rows_b[j2]
+        z = [0] * len(ra1)
+        rpb2 = rb2 if b2 > 0 else z
+        rnb1 = rb1 if b1 < 0 else z
+        rc = [w - x - y + v for w, x, y, v in zip(ra1, ra2, rpb2, rnb1)]
+        rpb1 = rb1 if b1 > 0 else z
+        rt = [x + y for x, y in zip(rpb2, rc)]
+        rpt = rt if t > 0 else z
+        rnc = rc if c < 0 else z
+        rnb2 = rb2 if b2 < 0 else z
+        ru = [x - y for x, y in zip(rnb1, rc)]
+        rnu = ru if u < 0 else z
+        rows_a[j1] = [w - x - y for w, x, y in zip(ra1, rpb1, rpt)]
+        rows_b[j1] = [x + y for x, y in zip(rb2, rnc)]
+        rows_a[j2] = [w - x - y for w, x, y in zip(ra2, rnb2, rnu)]
+        rows_b[j2] = [x - y for x, y in zip(rb1, rnc)]
+    a[j1], a[j2], b[j1], b[j2] = na1, na2, nb_1, nb_2
+
+
+def _apply_gen_full_reflection(a, b, k):
+    """Inverse generators as the conjugate by the reflection that negates the
+    whole ``a`` half: the reference for the kernel, which negates only the
+    coordinates the generator reads."""
+    if k > 0:
+        _apply_gen(a, b, k)
+        return
+    a[:] = [-x for x in a]
+    _apply_gen(a, b, -k)
+    a[:] = [-x for x in a]
+
+
+def _unpack(forms):
+    return [f[0] for f in forms], [f[1:] for f in forms]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_apply_gen_matches_full_reflection(data):
+    # forms with random rows through the kernel, through the full-reflection
+    # conjugate and through the tracked reference agree on values and rows;
+    # frequent zero coordinates put the max/min branches on their ties
     m = data.draw(st.integers(1, 7), label="m")
-    coords = st.lists(st.integers(-20, 20), min_size=m, max_size=m)
+    coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-20, 20))
+    coords = st.lists(coord, min_size=m, max_size=m)
     a, b = data.draw(coords, label="a"), data.draw(coords, label="b")
     gens = st.integers(1, m + 1).flatmap(lambda i: st.sampled_from([i, -i]))
     word = data.draw(st.lists(gens, max_size=12), label="word")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="rows seed"))
     rows = [[rng.randint(-3, 3) for _ in range(2 * m)] for _ in range(2 * m)]
-    got = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
-    ref = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
-    for k in word:
-        _apply_gen(*got[:2], k, *got[2:])
-        _apply_gen_full_reflection(*ref[:2], k, *ref[2:])
-    assert got == ref
+
+    def forms():
+        fs = [_Form([x, *r]) for x, r in zip(a + b, rows)]
+        return fs[:m], fs[m:]
+
+    got, ref = forms(), forms()
+    tracked = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
     plain = (list(a), list(b))
     for k in word:
+        _apply_gen(*got, k)
+        _apply_gen_full_reflection(*ref, k)
+        _apply_gen_tracked(*tracked[:2], k, *tracked[2:])
         _apply_gen(*plain, k)
-    assert plain == (got[0], got[1])
+    got_values, got_rows = _unpack(got[0] + got[1])
+    assert (got_values, got_rows) == _unpack(ref[0] + ref[1])
+    assert got_values == tracked[0] + tracked[1]
+    assert got_rows == tracked[2] + tracked[3]
+    assert got_values == plain[0] + plain[1]
+
+
+def _act_with_matrix_tracked(b, l, direction):
+    word = b.word[::-1] if direction == "rl" else b.word
+    a, bb = list(l.a), list(l.b)
+    m, d = len(a), 2 * len(a)
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows_a, rows_b = rows[:m], rows[m:]
+    for k in word:
+        _apply_gen_tracked(a, bb, k, rows_a, rows_b)
+    return tuple(a + bb), tuple(tuple(r) for r in rows_a + rows_b)
+
+
+@pytest.mark.parametrize("direction", ["lr", "rl"])
+def test_act_with_matrix_matches_tracked_reference(direction):
+    rng = random.Random(5)
+    props = properties()
+    props.gen_loop_act_dir = direction
+    try:
+        for _ in range(100):
+            n = rng.randint(3, 9)
+            b = bk.make_braid(rand_word(rng, n, 20), n)
+            l = bk.canonical_loop(n, basepoint=rng.random() < 0.5)
+            for _ in range(5):
+                image, M = bk.act_with_matrix(b, l)
+                assert (image.coords, M.entries) == _act_with_matrix_tracked(b, l, direction)
+                assert bk.act(b, l) == image
+                l = image
+    finally:
+        props.gen_loop_act_dir = "lr"

@@ -249,6 +249,14 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "Error:" in err
 
 
+@pytest.mark.parametrize("word, at", [("-1", "0"), ("1", "inf")])
+def test_burau_at_outside_domain_is_a_domain_error(capsys, word, at):
+    # 1/t at t = 0 divides by zero; t = inf has no integer or finite value
+    code, out, err = run(capsys, "burau", word, "--at", at)
+    assert code == 1 and out == ""
+    assert err.startswith("Error: ") and len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["braid"])

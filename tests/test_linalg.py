@@ -2,10 +2,12 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from braidkit.linalg import (
     charpoly,
     det_exact,
+    log_spectral_radius,
     mat_mul,
     mat_vec,
     poly_str,
@@ -91,3 +93,46 @@ def test_poly_str():
     assert poly_str((1, -3, 1)) == "x^2 - 3*x + 1"
     assert poly_str((1, 0, 0)) == "x^2"
     assert poly_str((0,)) == "0"
+
+
+def test_spectral_radius_reads_entries_attribute():
+    import braidkit as bk
+
+    M = bk.LinearAction(((2, -1), (-1, 1)))
+    assert bk.spectral_radius(M) == spectral_radius(M.entries)
+    assert bk.charpoly(M) == charpoly(M.entries) == (1, -3, 1)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_charpoly_over_laurent_polys(n):
+    # Berkowitz is division-free, so it runs over Z[t, 1/t]: at x = 1 the
+    # characteristic polynomial is det(I - B), and its constant term is
+    # det(-B)
+    import braidkit as bk
+
+    B = bk.burau(bk.random_braid(n, 12, seed=n))
+    coeffs = charpoly(B)
+    I_minus_B = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(B.entries)]
+    assert sum(coeffs[1:], coeffs[0]) == det_exact(I_minus_B)
+    assert (-1) ** (n - 1) * coeffs[-1] == B.det()
+
+
+@pytest.mark.parametrize("k", [400, 900])
+def test_log_spectral_radius_matches_entropy_past_float_range(k):
+    import braidkit as bk
+
+    b = bk.power(bk.make_braid([1, -2]), k)
+    r = bk.cycle(b)
+    rate = log_spectral_radius(r.product()) / r.period
+    assert rate == pytest.approx(bk.entropy(b).value, rel=1e-8)
+    if rate > 709:
+        with pytest.raises(OverflowError, match="log_spectral_radius"):
+            spectral_radius(r.product())
+    else:
+        assert math.log(spectral_radius(r.product())) / r.period == pytest.approx(rate, rel=1e-12)
+
+
+def test_log_spectral_radius_small_and_nilpotent():
+    assert log_spectral_radius(((2, -1), (-1, 1))) == pytest.approx(math.log((3 + math.sqrt(5)) / 2))
+    assert log_spectral_radius(((0, 1), (0, 0))) == -math.inf
+    assert spectral_radius(((0, 0), (0, 0))) == 0.0
