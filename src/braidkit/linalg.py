@@ -116,12 +116,14 @@ def spectral_radius(A) -> float:
     try:
         return math.ldexp(r, shift)
     except OverflowError:
-        raise OverflowError(f"spectral radius {r:g} * 2**{shift} overflows a float; use log_spectral_radius") from None
+        raise OverflowError(
+            f"spectral radius {r:g} * 2**{shift} overflows a float; use log_spectral_radius"
+        ) from None
 
 
 def log_spectral_radius(A) -> float:
     """Natural log of :func:`spectral_radius`, finite at any size (``-inf``
-    for a nilpotent matrix)."""
+    where the float radius is 0, as for the zero matrix)."""
     r, shift = _shifted_radius(A)
     return math.log(r) + shift * math.log(2) if r else -math.inf
 

@@ -132,7 +132,7 @@ def test_log_spectral_radius_matches_entropy_past_float_range(k):
         assert math.log(spectral_radius(r.product())) / r.period == pytest.approx(rate, rel=1e-12)
 
 
-def test_log_spectral_radius_small_and_nilpotent():
+def test_log_spectral_radius_small_and_zero():
     assert log_spectral_radius(((2, -1), (-1, 1))) == pytest.approx(math.log((3 + math.sqrt(5)) / 2))
     assert log_spectral_radius(((0, 1), (0, 0))) == -math.inf
     assert spectral_radius(((0, 0), (0, 0))) == 0.0
