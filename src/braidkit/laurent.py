@@ -4,6 +4,16 @@ Stored as the lowest exponent plus a dense coefficient run; both stored end
 coefficients are nonzero (the zero polynomial has an empty run).  These are
 the carrier for reduced Burau entries and Alexander polynomials, so the
 display format puts the highest power first, e.g. ``+ z^(+2) - z^(+1) + 1``.
+
+Long products use Kronecker substitution (Harvey, J. Symb. Comput. 44,
+2009): each factor is evaluated at ``2**K`` into one integer whose ``K``-bit
+slots hold its coefficients (:func:`_pack`), the two integers are
+multiplied, and the slots of the product are read back (:func:`_unpack`).
+``K`` leaves room for every product coefficient, so the result is exact, and
+the one big-int product replaces the O(d^2) schoolbook loop.  Slots are
+balanced: a slot holds a coefficient ``c`` with ``|c| < 2**(K-1)``, encoded
+by adding the bias ``2**(K-1)`` to every slot, and ``K`` is a whole number
+of bytes so that ``int.to_bytes`` cuts the slots.
 """
 from __future__ import annotations
 
@@ -11,6 +21,47 @@ import dataclasses
 import numbers
 import operator
 from fractions import Fraction
+
+# Products whose shorter factor has at least this many terms go through
+# Kronecker substitution; below it the schoolbook loop is faster.
+_KRONECKER_MIN_TERMS = 8
+
+
+def _slot_bits(bits: int) -> int:
+    """Slot width for coefficients of at most ``bits`` bits: a sign bit and
+    one spare bit, rounded up to whole bytes."""
+    return (bits + 2 + 7) // 8 * 8
+
+
+def _bias(slots: int, K: int) -> int:
+    """``2**(K-1)`` in each of ``slots`` slots of ``K`` bits."""
+    return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _pack(coeffs, K: int) -> int:
+    """The integer ``sum(c * 2**(K*j))`` over ``coeffs`` (lowest first);
+    needs ``|c| < 2**(K-1)`` and ``K`` a multiple of 8."""
+    half = 1 << (K - 1)
+    width = K // 8
+    data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - _bias(len(coeffs), K)
+
+
+def _unpack(E: int, K: int):
+    """Inverse of :func:`_pack`: ``(z, coeffs)``, where the ``z`` zero low
+    slots of ``E`` are stripped and ``coeffs`` starts at the first nonzero
+    one and ends at the last."""
+    if not E:
+        return 0, ()
+    z = ((E & -E).bit_length() - 1) // K  # a zero slot is K zero bits
+    E >>= K * z
+    slots = E.bit_length() // K + 1
+    width = K // 8
+    half = 1 << (K - 1)
+    data = (E + _bias(slots, K)).to_bytes(slots * width, "little")
+    read = int.from_bytes
+    coeffs = [read(data[k : k + width], "little") - half for k in range(0, len(data), width)]
+    return z, tuple(coeffs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -20,18 +71,17 @@ class LaurentPoly:
 
     def __post_init__(self):
         coeffs = self.coeffs
-        if type(coeffs) is tuple and coeffs and coeffs[0] != 0 and coeffs[-1] != 0:
+        if type(coeffs) is tuple and (coeffs[0] and coeffs[-1] if coeffs else not self.lowest):
             return  # already normalized, the common case for ring results
-        coeffs = list(coeffs)
-        lowest = self.lowest
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            lowest += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            lowest = 0
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        coeffs = tuple(coeffs)
+        # one scan in from each end, then one slice
+        first = next((k for k, c in enumerate(coeffs) if c), None)
+        if first is None:
+            lowest, coeffs = 0, ()
+        else:
+            last = next(k for k in range(len(coeffs) - 1, first - 1, -1) if coeffs[k])
+            lowest, coeffs = self.lowest + first, coeffs[first : last + 1]
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "lowest", lowest)
 
     # -- constructors -------------------------------------------------
@@ -120,11 +170,17 @@ class LaurentPoly:
         if len(self.coeffs) == 1:  # a monomial: scale and shift
             c = self.coeffs[0]
             return LaurentPoly(lowest, tuple([c * d for d in other.coeffs]))
-        width = len(other.coeffs)
-        out = [0] * (len(self.coeffs) + width - 1)
-        for i, c in enumerate(self.coeffs):
+        a, b = self.coeffs, other.coeffs
+        if len(a) >= _KRONECKER_MIN_TERMS:
+            # every product coefficient is a sum of len(a) terms |a_i * b_j|
+            bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length()
+            K = _slot_bits(bits)
+            return LaurentPoly(lowest, _unpack(_pack(a, K) * _pack(b, K), K)[1])
+        width = len(b)
+        out = [0] * (len(a) + width - 1)
+        for i, c in enumerate(a):
             if c:
-                out[i : i + width] = [x + c * d for x, d in zip(out[i : i + width], other.coeffs)]
+                out[i : i + width] = [x + c * d for x, d in zip(out[i : i + width], b)]
         return LaurentPoly(lowest, tuple(out))
 
     __rmul__ = __mul__

@@ -96,22 +96,33 @@ def charpoly(A):
 
 def _shifted_radius(A):
     """``(r, shift)`` with ``r * 2**shift`` the largest eigenvalue modulus of
-    ``A``.  Entries past 500 bits are shifted right first (eigenvalues scale
-    exactly), so any exact matrix is fine and ``r`` keeps double precision."""
+    ``A``.  Integer entries past 500 bits are shifted right first (eigenvalues
+    scale exactly), so any exact integer matrix is fine and ``r`` keeps double
+    precision.  Other numbers go to numpy unshifted, as complex numbers when
+    one entry is complex and as floats otherwise (numpy ints too, which have
+    no ``bit_length``)."""
     import numpy as np
 
     A = getattr(A, "entries", A)
-    maxabs = max((abs(x) for row in A for x in row), default=0)
-    if maxabs == 0:
-        return 0.0, 0
-    shift = max(0, maxabs.bit_length() - 500)
-    M = np.array([[float(x >> shift) for x in row] for row in A])
+    flat = [x for row in A for x in row]
+    if all(isinstance(x, int) for x in flat):
+        maxabs = max(map(abs, flat), default=0)
+        if maxabs == 0:
+            return 0.0, 0
+        shift = max(0, maxabs.bit_length() - 500)
+        M = np.array([[float(x >> shift) for x in row] for row in A])
+    elif all(isinstance(x, numbers.Number) for x in flat):
+        shift = 0
+        M = np.array(A, dtype=complex if any(not isinstance(x, numbers.Real) for x in flat) else float)
+    else:
+        raise TypeError("the spectral radius needs numeric entries; evaluate a symbolic matrix at a value of t first")
     return float(np.max(np.abs(np.linalg.eigvals(M)))), shift
 
 
 def spectral_radius(A) -> float:
-    """Largest eigenvalue modulus of an integer matrix (raw rows or any
-    matrix with ``.entries``)."""
+    """Largest eigenvalue modulus of a numeric matrix (raw rows or any
+    matrix with ``.entries``): exact ints at any size, or floats, complex
+    numbers and Fractions, such as an evaluated ``BurauMatrix``."""
     r, shift = _shifted_radius(A)
     try:
         return math.ldexp(r, shift)

@@ -1,6 +1,9 @@
+import importlib
+import math
 import numbers
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from braidkit.burau import FractionalPowersError, alexander, burau
 from braidkit.laurent import LaurentPoly
 from braidkit.linalg import det_exact, mat_mul
 from test_laurent import reciprocal_symmetric
+
+burau_module = importlib.import_module("braidkit.burau")
 
 
 # ---------------------------------------------------------------- references
@@ -84,6 +89,35 @@ def _burau_by_products(b, t=None):
     if t is not None:
         acc = [[int(x) if isinstance(x, Fraction) and x.denominator == 1 else x for x in row] for row in acc]
     return tuple(tuple(r) for r in acc)
+
+
+def _burau_ring_rows(word, dim, one, zero, t, tinv):
+    """The generic row update over the ring of ``t``: the reference for the
+    integer kernel in both exact modes."""
+    acc = [[zero] * dim]
+    acc += [[one if r == c else zero for c in range(dim)] for r in range(dim)]
+    acc.append([zero] * dim)
+    pos, neg = (one, -t, t), (tinv, -tinv, one)
+    for w in word:
+        left, diag, right = pos if w > 0 else neg
+        i = abs(w)
+        acc[i] = [zero + left * x + diag * y + right * z for x, y, z in zip(acc[i - 1], acc[i], acc[i + 1])]
+    return acc[1:-1]
+
+
+def _burau_reference(b, t=None):
+    """Burau entries by the ring row update: Laurent polynomials, or
+    Fractions at an integer ``t`` turned into ints where they are whole."""
+    dim = b.n - 1
+    if t is None:
+        rows = _burau_ring_rows(b.word, dim, LaurentPoly.const(1), LaurentPoly(), LaurentPoly.var(), LaurentPoly.term(1, -1))
+        return tuple(tuple(r) for r in rows)
+    tinv = Fraction(1, t) if b.word else t
+    rows = _burau_ring_rows(b.word, dim, 1, 0, t, tinv)
+    return tuple(tuple(int(x) if isinstance(x, Fraction) and x.denominator == 1 else x for x in r) for r in rows)
+
+
+INTEGER_TS = (2, -1, 1, 3, -7)
 
 
 def _gens(n):
@@ -161,6 +195,54 @@ def test_symbolic_at_t_equals_evaluated(nw):
     for prow, erow in zip(sym, ev):
         for p, x in zip(prow, erow):
             assert p.eval_at(0.5) == pytest.approx(x, rel=1e-12, abs=1e-12)
+
+
+longer_words = st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(_gens(n), max_size=60)))
+
+
+@pytest.mark.parametrize("max_bits", [0, math.inf])
+@settings(max_examples=150, deadline=None)
+@given(nw=longer_words)
+def test_integer_kernel_matches_ring_rows(max_bits, nw):
+    # max_bits 0 sends every non-empty symbolic product to the ring row
+    # update, infinity sends all of them through the integer kernel
+    n, w = nw
+    b = bk.make_braid(w, n)
+    with mock.patch.object(burau_module, "_KRONECKER_MAX_BITS", max_bits):
+        assert repr(burau(b).entries) == repr(_burau_reference(b))
+    for t in INTEGER_TS:
+        assert repr(burau(b, t).entries) == repr(_burau_reference(b, t))
+
+
+def _long_cases():
+    rng = random.Random(2024)
+    past = bk.make_braid([rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(2800)], 4)
+    return [bk.make_braid([1, -2] * 300, 3), past]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_integer_kernel_matches_ring_rows_on_long_words(case):
+    b = _long_cases()[case]
+    if case == 1:  # past the crossover
+        assert burau_module._kronecker_slot(b.word, b.n - 1) is None
+    ref = repr(_burau_reference(b))
+    assert repr(burau(b).entries) == ref
+    with mock.patch.object(burau_module, "_KRONECKER_MAX_BITS", math.inf):
+        assert repr(burau(b).entries) == ref
+    for t in (2, -7):
+        assert repr(burau(b, t).entries) == repr(_burau_reference(b, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_burau_at_zero_for_positive_words(n, data):
+    w = data.draw(st.lists(st.integers(1, n - 1), max_size=15))
+    b = bk.make_braid(w, n)
+    got = burau(b, 0).entries
+    assert got == tuple(tuple(p.eval_at(0) for p in row) for row in burau(b).entries)
+    assert all(type(x) is int for row in got for x in row)
+    with pytest.raises(ZeroDivisionError):
+        burau(bk.make_braid(w + [-(n - 1)] + w, n), 0)
 
 
 small_ints = st.integers(-9, 9)

@@ -257,6 +257,11 @@ def test_burau_at_outside_domain_is_a_domain_error(capsys, word, at):
     assert err.startswith("Error: ") and len(err.splitlines()) == 1
 
 
+def test_burau_at_zero_for_positive_words(capsys):
+    assert run(capsys, "burau", "1 1", "--at", "0")[1] == "0"
+    assert run(capsys, "burau", "1", "--n", "3", "--at", "0")[1].splitlines() == ["0 0", "0 1"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["braid"])

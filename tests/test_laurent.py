@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidkit.laurent import LaurentPoly, laurent_from_json
+from braidkit.laurent import _KRONECKER_MIN_TERMS, LaurentPoly, _pack, _unpack, laurent_from_json
 
 
 def poly(lowest, *coeffs):
@@ -16,6 +16,18 @@ polys = st.builds(
     st.integers(min_value=-4, max_value=4),
     st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(tuple),
 )
+
+
+def _mul_schoolbook(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """The O(d^2) product, a reference for the Kronecker multiply."""
+    if p.is_zero() or q.is_zero():
+        return LaurentPoly()
+    width = len(q.coeffs)
+    out = [0] * (len(p.coeffs) + width - 1)
+    for i, c in enumerate(p.coeffs):
+        if c:
+            out[i : i + width] = [x + c * d for x, d in zip(out[i : i + width], q.coeffs)]
+    return LaurentPoly(p.lowest + q.lowest, tuple(out))
 
 
 def test_trimming_and_zero():
@@ -120,3 +132,64 @@ def test_power():
     assert (poly(0, 1, 1)) ** 2 == poly(0, 1, 2, 1)
     with pytest.raises(ValueError):
         t ** -1
+
+
+def test_trimming_long_zero_runs():
+    p = LaurentPoly(-3, (0,) * 50000 + (1, 0, -2) + (0,) * 50000)
+    assert p.lowest == 49997 and p.coeffs == (1, 0, -2)
+    z = LaurentPoly(7, [0] * 100000)
+    assert z.is_zero() and z.lowest == 0 and z.coeffs == ()
+    q = LaurentPoly(2, [0, 0, 5] + [0] * 20000)
+    assert q.lowest == 4 and q.coeffs == (5,)
+    assert LaurentPoly(1, iter([3, 0, 4, 0])) == poly(1, 3, 0, 4)
+
+
+def _slot_values(K):
+    """Coefficients that fit a K-bit balanced slot, weighted to its edges,
+    to powers of two and to zero."""
+    top = 2 ** (K - 1) - 1
+    return st.one_of(
+        st.sampled_from([top, -top, 0, 0, 1, -1]),
+        st.integers(0, K - 2).flatmap(lambda j: st.sampled_from([2**j, -(2**j)])),
+        st.integers(-top, top),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda b: st.tuples(st.just(8 * b), st.lists(_slot_values(8 * b), max_size=40))))
+def test_pack_unpack_round_trip(kc):
+    K, coeffs = kc
+    E = _pack(coeffs, K)
+    assert E == sum(c << (K * j) for j, c in enumerate(coeffs))
+    z, got = _unpack(E, K)
+    nonzero = [j for j, c in enumerate(coeffs) if c]
+    if not nonzero:
+        assert (z, got) == (0, ())
+    else:
+        assert z == nonzero[0]
+        assert got == tuple(coeffs[nonzero[0] : nonzero[-1] + 1])
+
+
+def _wide_polys(max_len):
+    coeff = st.integers(1, 400).flatmap(lambda b: st.integers(-(2**b), 2**b))
+    return st.builds(LaurentPoly, st.integers(-50, 50), st.lists(coeff, min_size=1, max_size=max_len).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_polys(80), _wide_polys(80))
+def test_kronecker_mul_matches_schoolbook(p, q):
+    assert repr(p * q) == repr(_mul_schoolbook(p, q))
+
+
+def test_kronecker_mul_covers_both_sides_of_the_cutoff():
+    for n in (_KRONECKER_MIN_TERMS - 1, _KRONECKER_MIN_TERMS, 80):
+        for top in (1, 2**400 - 1):
+            p = LaurentPoly(-n, tuple((-1) ** k * top for k in range(n)))
+            q = LaurentPoly(3, tuple(top if k % 3 else -top for k in range(n + 5)))
+            assert p * q == _mul_schoolbook(p, q) and p * p == _mul_schoolbook(p, p)
+    # Equal coefficients of one sign put the middle product coefficient at
+    # the slot bound: 127 * (2**401 - 1) * (2**400 - 1) has 808 bits, a
+    # whole number of bytes, so it needs the slot's sign bit.
+    p = LaurentPoly(0, (2**401 - 1,) * 127)
+    q = LaurentPoly(0, (-(2**400 - 1),) * 127)
+    assert p * q == _mul_schoolbook(p, q)

@@ -1,9 +1,12 @@
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import braidkit as bk
 from braidkit.linalg import (
     charpoly,
     det_exact,
@@ -81,6 +84,8 @@ def test_mat_helpers():
 def test_spectral_radius_values():
     assert abs(spectral_radius(((2, -1), (-1, 1))) - (3 + math.sqrt(5)) / 2) < 1e-10
     assert abs(spectral_radius(identity_matrix(3)) - 1.0) < 1e-12
+    # numpy ints have no bit_length and go to numpy as floats
+    assert abs(spectral_radius(np.array([[2, -1], [-1, 1]])) - (3 + math.sqrt(5)) / 2) < 1e-10
 
 
 def test_spectral_radius_huge_entries_fallback():
@@ -136,3 +141,19 @@ def test_log_spectral_radius_small_and_zero():
     assert log_spectral_radius(((2, -1), (-1, 1))) == pytest.approx(math.log((3 + math.sqrt(5)) / 2))
     assert log_spectral_radius(((0, 1), (0, 0))) == -math.inf
     assert spectral_radius(((0, 0), (0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("t", [-1, 0.5, Fraction(1, 3), cmath.exp(0.7j), 2])
+def test_spectral_radius_of_evaluated_burau(t):
+    B = bk.burau(bk.make_braid([1, -2, 3, -2, 1], 4), t)
+    dtype = complex if isinstance(t, complex) else float
+    expected = max(abs(np.linalg.eigvals(np.array([[dtype(x) for x in row] for row in B.entries]))))
+    assert spectral_radius(B) == pytest.approx(expected, rel=1e-12)
+    assert log_spectral_radius(B) == pytest.approx(math.log(expected), rel=1e-12, abs=1e-12)
+
+
+def test_spectral_radius_of_symbolic_matrix_names_the_fix():
+    B = bk.burau(bk.make_braid([1, -2], 3))
+    for fn in (spectral_radius, log_spectral_radius):
+        with pytest.raises(TypeError, match="evaluate"):
+            fn(B)
