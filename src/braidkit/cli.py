@@ -14,40 +14,11 @@ import json
 import sys
 import warnings
 
-from . import (
-    act,
-    act_with_matrix,
-    canonical_loop,
-    charpoly,
-    compact,
-    cycle,
-    equals,
-    fulltwist,
-    get_prop,
-    halftwist,
-    intaxis,
-    intersec,
-    inverse,
-    istrivial,
-    loopcoords,
-    make_annular_braid,
-    make_braid,
-    make_loop,
-    minlength,
-    mul,
-    perm,
-    power,
-    random_braid,
-    set_prop,
-    subbraid,
-    tensor,
-    writhe,
-)
-from .burau import alexander, burau
+import braidkit as bk
+
+# Handlers reach the library through the lazy package, so a command loads
+# only the modules it calls; argparse needs the property names up front.
 from .config import PROP_KEYS
-from .entropy import complexity, entropy
-from .linalg import poly_str
-from .render import RenderSpec, render_braid, render_loop
 
 TAFFY_FIXTURES = {
     "taffy3": [-2, 1, 1, -2],
@@ -72,8 +43,8 @@ def _braid_arg(args, word=None):
     if word is None:
         word = TAFFY_FIXTURES[args.fixture] if args.fixture else _parse_word(args.word)
     if args.annular:
-        return make_annular_braid(word, args.n)
-    return make_braid(word, args.n)
+        return bk.make_annular_braid(word, args.n)
+    return bk.make_braid(word, args.n)
 
 
 def _other_arg(args, a):
@@ -83,7 +54,7 @@ def _other_arg(args, a):
 
 
 def _loop_arg(text: str, basepoint: bool):
-    return make_loop(_parse_word(text), basepoint)
+    return bk.make_loop(_parse_word(text), basepoint)
 
 
 def _emit(args, obj, text):
@@ -110,39 +81,39 @@ def _cmd_braid(args):
         _braid_out(args, _braid_arg(args))
     elif op == "mul":
         a = _braid_arg(args)
-        _braid_out(args, mul(a, _other_arg(args, a)))
+        _braid_out(args, bk.mul(a, _other_arg(args, a)))
     elif op == "inverse":
-        _braid_out(args, inverse(_braid_arg(args)))
+        _braid_out(args, bk.inverse(_braid_arg(args)))
     elif op == "power":
-        _braid_out(args, power(_braid_arg(args), args.k))
+        _braid_out(args, bk.power(_braid_arg(args), args.k))
     elif op == "compact":
-        _braid_out(args, compact(_braid_arg(args)))
+        _braid_out(args, bk.compact(_braid_arg(args)))
     elif op == "equals":
         a = _braid_arg(args)
-        result = equals(a, _other_arg(args, a))
+        result = bk.equals(a, _other_arg(args, a))
         _emit(args, {"equal": result}, "1" if result else "0")
     elif op == "istrivial":
-        result = istrivial(_braid_arg(args))
+        result = bk.istrivial(_braid_arg(args))
         _emit(args, {"trivial": result}, "1" if result else "0")
     elif op == "perm":
-        p = perm(_braid_arg(args))
+        p = bk.perm(_braid_arg(args))
         _emit(args, {"perm": list(p)}, " ".join(str(x) for x in p))
     elif op == "writhe":
-        w = writhe(_braid_arg(args))
+        w = bk.writhe(_braid_arg(args))
         _emit(args, {"writhe": w}, str(w))
     elif op == "subbraid":
         keep = _parse_word(args.keep)
-        _braid_out(args, subbraid(_braid_arg(args), keep))
+        _braid_out(args, bk.subbraid(_braid_arg(args), keep))
     elif op == "tensor":
-        _braid_out(args, tensor(_braid_arg(args), _braid_arg(args, _parse_word(args.other))))
+        _braid_out(args, bk.tensor(_braid_arg(args), _braid_arg(args, _parse_word(args.other))))
     elif op == "random":
-        _braid_out(args, random_braid(args.strands, args.length, args.seed))
+        _braid_out(args, bk.random_braid(args.strands, args.length, args.seed))
     elif op == "halftwist":
-        _braid_out(args, halftwist(args.strands))
+        _braid_out(args, bk.halftwist(args.strands))
     elif op == "fulltwist":
-        _braid_out(args, fulltwist(args.strands))
+        _braid_out(args, bk.fulltwist(args.strands))
     elif op == "annular":
-        ab = make_annular_braid(_parse_word(args.word), args.n)
+        ab = bk.make_annular_braid(_parse_word(args.word), args.n)
         _braid_out(args, ab.to_braid())
     else:  # pragma: no cover
         raise ValueError(f"unknown braid op {op}")
@@ -154,20 +125,20 @@ def _cmd_loop(args):
         l = _loop_arg(args.coords, args.basepoint)
         _emit(args, l.to_json(), str(l))
     elif op == "canonical":
-        l = canonical_loop(args.punctures, basepoint=not args.no_basepoint)
+        l = bk.canonical_loop(args.punctures, basepoint=not args.no_basepoint)
         _emit(args, l.to_json(), str(l))
     elif op == "intersec":
-        inums = intersec(_loop_arg(args.coords, args.basepoint))
+        inums = bk.intersec(_loop_arg(args.coords, args.basepoint))
         _emit(
             args,
             {"mu": list(inums.mu), "nu": list(inums.nu)},
             " ".join(str(x) for x in inums.mu + inums.nu),
         )
     elif op == "minlength":
-        v = minlength(_loop_arg(args.coords, args.basepoint))
+        v = bk.minlength(_loop_arg(args.coords, args.basepoint))
         _emit(args, {"minlength": v}, str(v))
     elif op == "intaxis":
-        v = intaxis(_loop_arg(args.coords, args.basepoint))
+        v = bk.intaxis(_loop_arg(args.coords, args.basepoint))
         _emit(args, {"intaxis": v}, str(v))
     else:  # pragma: no cover
         raise ValueError(f"unknown loop op {op}")
@@ -177,19 +148,19 @@ def _cmd_act(args):
     b = _braid_arg(args)
     l = _loop_arg(args.coords, args.basepoint)
     if args.matrix:
-        image, M = act_with_matrix(b, l)
+        image, M = bk.act_with_matrix(b, l)
         _emit(
             args,
             {"loop": image.to_json(), "matrix": M.to_json()},
             str(image) + "\n" + _matrix_text(M.entries),
         )
     else:
-        image = act(b, l)
+        image = bk.act(b, l)
         _emit(args, image.to_json(), str(image))
 
 
 def _cmd_loopcoords(args):
-    l = loopcoords(_braid_arg(args))
+    l = bk.loopcoords(_braid_arg(args))
     _emit(args, l.to_json(), str(l))
 
 
@@ -199,8 +170,8 @@ def _cmd_cycle(args):
     if args.l0 is not None:
         l0 = _loop_arg(args.l0, args.basepoint)
     elif args.no_basepoint:
-        l0 = canonical_loop(b.n, basepoint=False)
-    result = cycle(b, l0=l0, maxit=args.maxit)
+        l0 = bk.canonical_loop(b.n, basepoint=False)
+    result = bk.cycle(b, l0=l0, maxit=args.maxit)
     if args.json:
         print(
             json.dumps(
@@ -223,10 +194,12 @@ def _cmd_cycle(args):
 
 
 def _cmd_charpoly(args):
+    from .linalg import poly_str
+
     b = _braid_arg(args)
-    l0 = canonical_loop(b.n, basepoint=False) if args.no_basepoint else None
-    result = cycle(b, l0=l0, maxit=args.maxit)
-    coeffs = charpoly(result.product())
+    l0 = bk.canonical_loop(b.n, basepoint=False) if args.no_basepoint else None
+    result = bk.cycle(b, l0=l0, maxit=args.maxit)
+    coeffs = bk.charpoly(result.product())
     _emit(args, {"coeffs": [int(c) for c in coeffs]}, poly_str(coeffs))
 
 
@@ -234,7 +207,7 @@ def _cmd_entropy(args):
     b = _braid_arg(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = entropy(b, tol=args.tol, maxit=args.maxit)
+        result = bk.entropy(b, tol=args.tol, maxit=args.maxit)
     for w in caught:
         print(f"Warning: {w.message}", file=sys.stderr)
     _emit(
@@ -250,18 +223,18 @@ def _cmd_entropy(args):
 
 
 def _cmd_complexity(args):
-    v = complexity(_braid_arg(args))
+    v = bk.complexity(_braid_arg(args))
     _emit(args, {"complexity": v}, f"{v:.4f}")
 
 
 def _cmd_burau(args):
     b = _braid_arg(args)
     if args.symbolic or args.at is None:
-        B = burau(b)
+        B = bk.burau(b)
         rows = [[p.display("t") for p in row] for row in B.entries]
         _emit(args, B.to_json(), "\n".join("[ " + ", ".join(row) + " ]" for row in rows))
     else:
-        B = burau(b, _number(args.at))
+        B = bk.burau(b, _number(args.at))
         text = "\n".join(" ".join(_fmt_num(x) for x in row) for row in B.entries)
         _emit(args, B.to_json(), text)
 
@@ -279,18 +252,15 @@ def _fmt_num(x):
 
 def _cmd_alexander(args):
     b = _braid_arg(args)
-    poly = alexander(b, centered=args.centered)
+    poly = bk.alexander(b, centered=args.centered)
     _emit(args, poly.to_json(), poly.display("z"))
 
 
 def _load_databraid(args):
-    # trajectory analysis loads numpy, which the other commands never need
-    from .trajectories import closure, databraid_from_data, load_trajectories
-
-    ts = load_trajectories(args.file)
+    ts = bk.load_trajectories(args.file)
     if args.closure != "none":
-        ts = closure(ts, args.closure)
-    return databraid_from_data(ts, angle=args.angle)
+        ts = bk.closure(ts, args.closure)
+    return bk.databraid_from_data(ts, angle=args.angle)
 
 
 def _cmd_fromdata(args):
@@ -306,20 +276,18 @@ def _cmd_fromdata(args):
 
 
 def _cmd_ftbe(args):
-    from .trajectories import ftbe
-
     db = _load_databraid(args)
-    v = ftbe(db, T=args.T, norm=args.norm)
+    v = bk.ftbe(db, T=args.T, norm=args.norm)
     _emit(args, {"ftbe": v}, f"{v:.4f}")
 
 
 def _cmd_render(args):
-    spec = RenderSpec(direction=args.direction, width=args.width, height=args.height)
+    spec = bk.RenderSpec(direction=args.direction, width=args.width, height=args.height)
     if args.kind == "braid":
         obj = _braid_arg(args)
-        svg = render_braid(obj, spec)
+        svg = bk.render_braid(obj, spec)
     else:
-        svg = render_loop(_loop_arg(args.word, args.basepoint), spec)
+        svg = bk.render_loop(_loop_arg(args.word, args.basepoint), spec)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     print(args.out)
@@ -327,7 +295,7 @@ def _cmd_render(args):
 
 def _cmd_prop(args):
     if args.op == "get":
-        value = get_prop(args.name)
+        value = bk.get_prop(args.name)
         if isinstance(value, bool):
             text = "1" if value else "0"
         elif isinstance(value, float):
@@ -336,8 +304,8 @@ def _cmd_prop(args):
             text = str(value)
         _emit(args, {args.name: value}, text)
     else:
-        set_prop(args.name, args.value)
-        value = get_prop(args.name)
+        bk.set_prop(args.name, args.value)
+        value = bk.get_prop(args.name)
         _emit(args, {args.name: value}, f"{args.name} = {value}")
 
 

@@ -13,7 +13,8 @@ multiplied, and the slots of the product are read back (:func:`_unpack`).
 the one big-int product replaces the O(d^2) schoolbook loop.  Slots are
 balanced: a slot holds a coefficient ``c`` with ``|c| < 2**(K-1)``, encoded
 by adding the bias ``2**(K-1)`` to every slot, and ``K`` is a whole number
-of bytes so that ``int.to_bytes`` cuts the slots.
+of bytes so that ``int.to_bytes`` cuts the slots.  Factors with other
+coefficients (floats, Fractions) take the schoolbook loop at every length.
 """
 from __future__ import annotations
 
@@ -172,10 +173,13 @@ class LaurentPoly:
             return LaurentPoly(lowest, tuple([c * d for d in other.coeffs]))
         a, b = self.coeffs, other.coeffs
         if len(a) >= _KRONECKER_MIN_TERMS:
-            # every product coefficient is a sum of len(a) terms |a_i * b_j|
-            bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length()
-            K = _slot_bits(bits)
-            return LaurentPoly(lowest, _unpack(_pack(a, K) * _pack(b, K), K)[1])
+            try:
+                # every product coefficient is a sum of len(a) terms |a_i * b_j|
+                bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length()
+                K = _slot_bits(bits)
+                return LaurentPoly(lowest, _unpack(_pack(a, K) * _pack(b, K), K)[1])
+            except AttributeError:
+                pass  # a coefficient that is not an int (no bit_length or to_bytes)
         width = len(b)
         out = [0] * (len(a) + width - 1)
         for i, c in enumerate(a):

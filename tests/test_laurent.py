@@ -193,3 +193,15 @@ def test_kronecker_mul_covers_both_sides_of_the_cutoff():
     p = LaurentPoly(0, (2**401 - 1,) * 127)
     q = LaurentPoly(0, (-(2**400 - 1),) * 127)
     assert p * q == _mul_schoolbook(p, q)
+
+
+@pytest.mark.parametrize("one", [1.5, Fraction(2, 3)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("n", [_KRONECKER_MIN_TERMS - 1, _KRONECKER_MIN_TERMS, 80])
+def test_non_int_coefficients_multiply_by_schoolbook_at_every_length(one, n):
+    p = LaurentPoly(-2, tuple(one * (k % 5 + 1) for k in range(n)))
+    q = LaurentPoly(1, tuple([7] * (n - 1) + [one]))  # mostly ints, one non-int
+    for a, b in ((p, p), (p, q), (q, p)):
+        got = a * b
+        assert repr(got) == repr(_mul_schoolbook(a, b))
+        assert all(type(c) is type(one) for c in got.coeffs)
+    assert repr(p**2) == repr(_mul_schoolbook(p, p))

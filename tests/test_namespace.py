@@ -1,0 +1,108 @@
+"""The lazy package namespace, and what each CLI command loads."""
+import json
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import braidkit
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# The public names of the package as its eager imports defined them.
+PUBLIC_NAMES = {
+    "Properties", "properties", "get_prop", "set_prop", "PROP_KEYS",
+    "Loop", "IntersectionNumbers", "make_loop", "canonical_loop", "intersec", "minlength",
+    "intaxis", "loop_from_json",
+    "LinearAction", "CycleResult", "CycleNotFoundError", "apply_generator", "act",
+    "act_with_matrix", "loopcoords", "cycle",
+    "Braid", "AnnularBraid", "make_braid", "make_annular_braid", "identity_braid", "mul",
+    "embed", "inverse", "power", "equals", "lexeq", "istrivial", "compact", "perm", "ispure",
+    "writhe", "subbraid", "tensor", "random_braid", "halftwist", "fulltwist", "braid_from_json",
+    "LaurentPoly", "laurent_from_json",
+    "charpoly", "log_spectral_radius", "spectral_radius",
+    "BurauMatrix", "FractionalPowersError", "alexander", "burau",
+    "EntropyResult", "complexity", "entropy", "entropy_fixed_iterates",
+    "RenderSpec", "render_braid", "render_loop",
+    "CoincidentProjectionError", "Crossing", "DataBraid", "TrajectorySet",
+    "UndersampledDataError", "braid_from_data", "closure", "crossings_from_data",
+    "databraid_from_data", "databraid_from_json", "db_compact", "db_equals", "db_mul",
+    "db_to_braid", "db_trunc", "ftbe", "load_trajectories", "save_trajectories_csv",
+    "trajectories_from_braid", "trajectories_from_json",
+}
+
+
+def _fresh(code, *argv):
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_public_names_are_the_pinned_list():
+    assert set(braidkit.__all__) == PUBLIC_NAMES
+    assert set(dir(braidkit)) == PUBLIC_NAMES
+    star = {}
+    exec("from braidkit import *", star)
+    star.pop("__builtins__")
+    assert set(star) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(braidkit, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert getattr(braidkit, name) is value  # cached after the first use
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        braidkit.no_such_name
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, braidkit; print(sorted(m for m in sys.modules if m.startswith('braidkit.')))"
+    assert _fresh(code).strip() == "[]"
+
+
+def test_submodule_import_keeps_the_functions():
+    code = (
+        "import types, braidkit.burau, braidkit.entropy\n"
+        "import braidkit\n"
+        "print(all(isinstance(f, types.FunctionType) for f in (braidkit.burau, braidkit.entropy)))\n"
+        "print(braidkit.burau(braidkit.make_braid([1]), 2).entries, braidkit.entropy(braidkit.make_braid([1, -2])).value > 0)"
+    )
+    assert _fresh(code).split("\n")[:2] == ["True", "((-2,),) True"]
+
+
+_LOADED_BY_CLI = """
+import io, json, sys, contextlib
+from braidkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('braidkit', 'numpy', 'scipy'))]))
+"""
+
+
+def _loaded_by(*argv):
+    code, modules = json.loads(_fresh(_LOADED_BY_CLI, *argv))
+    assert code == 0
+    return set(modules)
+
+
+def test_cli_entropy_loads_only_the_action_layers():
+    loaded = _loaded_by("entropy", "1 2 -3")
+    assert "braidkit.entropy" in loaded
+    heavy = {"braidkit.render", "braidkit.burau", "braidkit.laurent", "braidkit.trajectories"}
+    assert not loaded & heavy
+    assert not {m for m in loaded if m.split(".")[0] in ("numpy", "scipy")}
+
+
+def test_cli_ftbe_mindist_loads_no_scipy(tmp_path):
+    path = tmp_path / "tracks.csv"
+    braidkit.save_trajectories_csv(braidkit.trajectories_from_braid(braidkit.make_braid([1, -2, 1, 2])), path)
+    loaded = _loaded_by("ftbe", str(path), "--closure", "mindist")
+    assert "braidkit.trajectories" in loaded and "numpy" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}

@@ -29,6 +29,7 @@ from braidkit import (
     load_trajectories,
     trajectories_from_braid,
 )
+from braidkit.trajectories import _assign
 
 
 def rand_braid(rng, nmax=6, kmax=20):
@@ -223,6 +224,64 @@ def test_closure_mindist_picks_cheaper_pairing():
     assert swapped_cost < same_cost  # brute force over both pairings
     closed = closure(ts, "mindist")
     assert np.allclose(closed.positions[-1], np.array([init[1], init[0]]))
+
+
+def _lsap_reference(cost):
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    rows, cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, np.arange(len(cost)))
+    return cols
+
+
+def _check_assign(cost, same_assignment):
+    cols = _assign(cost)
+    ref = _lsap_reference(cost)
+    n = len(cost)
+    assert sorted(cols.tolist()) == list(range(n))  # a permutation
+    assert abs(cost[np.arange(n), cols].sum() - cost[np.arange(n), ref].sum()) <= 1e-9
+    if same_assignment:
+        assert np.array_equal(cols, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), top=st.sampled_from([None, 1, 2, 5]))
+def test_assign_matches_scipy(n, seed, top):
+    rng = np.random.default_rng(seed)
+    if top is None:  # generic floats: the optimum is unique
+        _check_assign(rng.random((n, n)) * 10.0**rng.integers(-3, 4), same_assignment=True)
+    else:  # small integers: many optimal assignments, one optimal cost
+        _check_assign(rng.integers(0, top + 1, (n, n)).astype(float), same_assignment=False)
+
+
+def _stirred(rng, P, spread):
+    """Distances from P points, each turned about a random centre by an
+    angle of standard deviation ``spread``, back to the starting points.  A
+    spread of 3/P leaves the optimum near the identity, as a stirred fluid's
+    closure sees it; 0.3 mixes the points."""
+    init = rng.random((P, 2))
+    centre = rng.random((P, 2))
+    angle = rng.normal(0.0, spread, P)
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    rel = init - centre
+    fin = centre + np.hstack([c * rel[:, :1] - s * rel[:, 1:], s * rel[:, :1] + c * rel[:, 1:]])
+    return np.linalg.norm(fin[:, None, :] - init[None, :, :], axis=2)
+
+
+@pytest.mark.parametrize("P", [10, 30, 100, 300])
+def test_assign_matches_scipy_on_stirred_points(P):
+    rng = np.random.default_rng(P)
+    for spread in (3.0 / P, 3.0 / P, 0.3):
+        _check_assign(_stirred(rng, P, spread), same_assignment=True)
+
+
+def test_assign_matches_scipy_on_dense_random():
+    _check_assign(np.random.default_rng(7).random((300, 300)), same_assignment=True)
+
+
+def test_closure_mindist_rejects_distances_past_the_float_range():
+    ts = TrajectorySet(times=[0.0, 1.0], positions=[[[0.0, 0.0], [1.0, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite distances"):
+        closure(ts, "mindist")
 
 
 def test_closure_none_and_bad_method():
@@ -554,8 +613,10 @@ def test_db_compact_matches_rescan_loop(gens):
         ("scipy", "pass"),
         # numpy loads only with trajectories, random_braid and spectral_radius
         ("numpy", "braidkit.entropy(braidkit.make_braid([1, -2]))"),
+        # the mindist closure solves its assignment without scipy
+        ("scipy", "braidkit.closure(braidkit.trajectories_from_braid(braidkit.make_braid([1, -2, 1])), 'mindist')"),
     ],
-    ids=["scipy", "numpy"],
+    ids=["scipy", "numpy", "scipy-mindist"],
 )
 def test_import_leaves_module_unloaded(module, work):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
