@@ -3,12 +3,20 @@
 Each generator updates at most two of the ``(a_i, b_i)`` coordinate pairs
 through expressions built from ``max(., 0)`` / ``min(., 0)``.  Once the
 max/min branches are resolved by the actual coordinate values, the update is
-linear.  The update is written once, in :func:`_apply_gen`, over ints; for
-:func:`act_with_matrix` each coordinate also carries its matrix row (a
-``_Form``), so the same update yields both the image and the integer matrix
-that realizes the action at that particular loop.  Iterating a braid makes
-this matrix sequence eventually periodic; :func:`cycle` detects the limit
-cycle.
+linear.  One kernel, :func:`_apply_word`, runs a whole word with the update
+written once, and every exact path calls it.
+
+For :func:`act_with_matrix` each coordinate is a ``_Form``, the tuple
+``(value, packed, bound)``: ``packed`` holds the coordinate's matrix row,
+entry ``j`` in the ``j``-th balanced ``K``-bit slot (Kronecker substitution,
+as in :mod:`.laurent`), and ``bound`` is an l1 bound on the row.  So the same
+update yields the image, the integer matrix that realizes the action at that
+particular loop, and the bounds, by the triangle inequality.  The slots are
+exact while every bound is below ``2**(K - 1)``.  One generator multiplies a
+bound by at most 7 < 2**3, so before each chunk of ``_CHUNK`` generators that
+could break this, the rows are decoded and re-packed at a wider ``K``.
+Iterating a braid makes the matrix sequence eventually periodic;
+:func:`cycle` detects the limit cycle.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -17,17 +25,20 @@ Conventions, fixed once here and relied on everywhere else:
 * matrices act on column vectors ``(a_1..a_m, b_1..b_m)``, so composing an
   action appends new matrices on the left (latest applied leftmost);
 * an inverse generator is the conjugate of the positive one by the
-  reflection that negates the ``a`` half of the coordinates.
+  reflection that negates the ``a`` half of the coordinates; the kernel
+  negates only the ``a`` coordinates the generator reads and writes.
 """
 from __future__ import annotations
 
 import dataclasses
-import operator
 
 from . import braids
 from .config import properties
 from .linalg import mat_mul, mat_vec
 from .loops import Loop, canonical_loop
+
+# A chunk of _CHUNK generators adds at most 3 * _CHUNK bits to a row's bound.
+_CHUNK = 32
 
 
 class CycleNotFoundError(RuntimeError):
@@ -70,31 +81,31 @@ class CycleResult:
         return prod
 
 
-class _Form(list):
-    """A coordinate that carries its matrix row: ``[value, *row]``, where
-    ``value`` is ``row`` applied to the start.  ``+`` and ``-`` act entrywise,
-    comparisons read the value, and the int 0 of an unresolved max/min branch
-    (falsy, unlike any form) is the identity."""
+class _Form(tuple):
+    """A coordinate that carries its matrix row, ``(value, packed, bound)``
+    as in the module docstring.  ``+`` and ``-`` act componentwise except
+    that bounds always add, comparisons read the value, and the int 0 of an
+    unresolved max/min branch (falsy, unlike any form) is the identity."""
 
     __slots__ = ()
 
     def __add__(self, other):
         if not other:
             return self
-        return _Form(map(operator.add, self, other))
+        return _Form((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not other:
             return self
-        return _Form(map(operator.sub, self, other))
+        return _Form((self[0] - other[0], self[1] - other[1], self[2] + other[2]))
 
     def __rsub__(self, other):
         return -self
 
     def __neg__(self):
-        return _Form(map(operator.neg, self))
+        return _Form((-self[0], -self[1], self[2]))
 
     def __gt__(self, other):
         return self[0] > other
@@ -103,54 +114,53 @@ class _Form(list):
         return self[0] < other
 
 
-def _apply_gen(a, b, k: int):
-    """Apply signed generator k in place to int or :class:`_Form` coordinates."""
+def _apply_word(a, b, word):
+    """Apply the signed generators of ``word`` in order, in place, to int or
+    :class:`_Form` coordinates."""
     m = len(a)
-    N = m + 2
-    i = abs(k)
-    if i < 1 or i > N - 1:
-        raise ValueError(f"generator index {k} out of range for {N} punctures")
-    if k < 0:
-        # the reflection matters only on the a-coordinates sigma_i reads
-        lo, hi = max(i - 2, 0), min(i, m)
-        for j in range(lo, hi):
-            a[j] = -a[j]
-        _apply_gen(a, b, i)
-        for j in range(lo, hi):
-            a[j] = -a[j]
-        return
-
-    if i == 1:
-        a0, b0 = a[0], b[0]
-        bn = a0 + (b0 if b0 > 0 else 0)
-        an = -b0 + (bn if bn > 0 else 0)
-        a[0], b[0] = an, bn
-        return
-
-    if i == N - 1:
-        a0, b0 = a[m - 1], b[m - 1]
-        bn = a0 + (b0 if b0 < 0 else 0)
-        an = -b0 + (bn if bn < 0 else 0)
-        a[m - 1], b[m - 1] = an, bn
-        return
-
-    j1, j2 = i - 2, i - 1
-    a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
-    pb2 = b2 if b2 > 0 else 0
-    nb1 = b1 if b1 < 0 else 0
-    c = a1 - a2 - pb2 + nb1
-    pb1 = b1 if b1 > 0 else 0
-    t = pb2 + c
-    pt = t if t > 0 else 0
-    nc = c if c < 0 else 0
-    nb2 = b2 if b2 < 0 else 0
-    u = nb1 - c
-    nu = u if u < 0 else 0
-    na1 = a1 - pb1 - pt
-    nb_1 = b2 + nc
-    na2 = a2 - nb2 - nu
-    nb_2 = b1 - nc
-    a[j1], a[j2], b[j1], b[j2] = na1, na2, nb_1, nb_2
+    last = m + 1
+    if min(map(abs, word), default=1) < 1 or max(map(abs, word), default=0) > last:
+        k = next(k for k in word if not 1 <= abs(k) <= last)
+        raise ValueError(f"generator index {k} out of range for {m + 2} punctures")
+    for k in word:
+        # an inverse is the positive generator conjugated by the reflection
+        # that negates the a-coordinates: negate the ones read and written
+        inv = k < 0
+        i = -k if inv else k
+        if i == 1:
+            a0, b0 = a[0], b[0]
+            if inv:
+                a0 = -a0
+            bn = a0 + (b0 if b0 > 0 else 0)
+            an = -b0 + (bn if bn > 0 else 0)
+            a[0], b[0] = -an if inv else an, bn
+        elif i == last:
+            a0, b0 = a[m - 1], b[m - 1]
+            if inv:
+                a0 = -a0
+            bn = a0 + (b0 if b0 < 0 else 0)
+            an = -b0 + (bn if bn < 0 else 0)
+            a[m - 1], b[m - 1] = -an if inv else an, bn
+        else:
+            j1, j2 = i - 2, i - 1
+            a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
+            if inv:
+                a1, a2 = -a1, -a2
+            pb2 = b2 if b2 > 0 else 0
+            nb1 = b1 if b1 < 0 else 0
+            c = a1 - a2 - pb2 + nb1
+            pb1 = b1 if b1 > 0 else 0
+            t = pb2 + c
+            pt = t if t > 0 else 0
+            nc = c if c < 0 else 0
+            nb2 = b2 if b2 < 0 else 0
+            u = nb1 - c
+            nu = u if u < 0 else 0
+            na1 = a1 - pb1 - pt
+            na2 = a2 - nb2 - nu
+            if inv:
+                na1, na2 = -na1, -na2
+            a[j1], a[j2], b[j1], b[j2] = na1, na2, b2 + nc, b1 - nc
 
 
 def apply_generator(l: Loop, i: int, sign: int = 1) -> Loop:
@@ -158,7 +168,7 @@ def apply_generator(l: Loop, i: int, sign: int = 1) -> Loop:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     a, b = list(l.a), list(l.b)
-    _apply_gen(a, b, sign * i)
+    _apply_word(a, b, (sign * i,))
     return Loop(a=tuple(a), b=tuple(b), basepoint=l.basepoint)
 
 
@@ -191,8 +201,7 @@ def act(b, l):
     b = braids._as_braid(b)
     _check_compat(b.n, l)
     a, bb = list(l.a), list(l.b)
-    for k in _word_order(b.word):
-        _apply_gen(a, bb, k)
+    _apply_word(a, bb, _word_order(b.word))
     return Loop(a=tuple(a), b=tuple(bb), basepoint=l.basepoint)
 
 
@@ -202,15 +211,31 @@ def act_with_matrix(b, l: Loop):
     The matrix satisfies ``entries @ coords(l) == coords(act(b, l))``
     exactly; it is valid only at loops sharing the same resolved branches.
     """
+    from .laurent import _pack, _slot_bits, _unpack
+
     b = braids._as_braid(b)
     _check_compat(b.n, l)
+    word = _word_order(b.word)
     d = len(l.coords)
-    forms = [_Form([x] + [int(i == j) for j in range(d)]) for i, x in enumerate(l.coords)]
+
+    def row(packed, K):
+        z, coeffs = _unpack(packed, K)
+        return (0,) * z + coeffs + (0,) * (d - z - len(coeffs))
+
+    # room for one chunk's growth keeps |entry| <= bound < 2**(K - 1)
+    room = 3 * _CHUNK
+    K = _slot_bits(1 + room)
+    forms = [_Form((x, 1 << (K * i), 1)) for i, x in enumerate(l.coords)]
     a, bb = forms[: d // 2], forms[d // 2 :]
-    for k in _word_order(b.word):
-        _apply_gen(a, bb, k)
-    image = Loop(a=tuple(f[0] for f in a), b=tuple(f[0] for f in bb), basepoint=l.basepoint)
-    return image, LinearAction(tuple(tuple(f[1:]) for f in a + bb))
+    for s in range(0, len(word), _CHUNK):
+        need = _slot_bits(max(f[2] for f in a + bb).bit_length() + room)
+        if need > K:
+            wide = max(2 * K, need)
+            a, bb = ([_Form((v, _pack(row(p, K), wide), e)) for v, p, e in h] for h in (a, bb))
+            K = wide
+        _apply_word(a, bb, word[s : s + _CHUNK])
+    image = Loop(tuple(f[0] for f in a), tuple(f[0] for f in bb), l.basepoint)
+    return image, LinearAction(tuple(row(f[1], K) for f in a + bb))
 
 
 def loopcoords(b) -> Loop:
@@ -226,8 +251,7 @@ def _canonical_image(gens, n: int):
     ``gens`` in the order given."""
     l = canonical_loop(n, basepoint=True)
     a, bb = list(l.a), list(l.b)
-    for k in gens:
-        _apply_gen(a, bb, k)
+    _apply_word(a, bb, gens)
     return tuple(a), tuple(bb)
 
 

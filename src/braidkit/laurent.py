@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import operator
-from fractions import Fraction
 
 # Products whose shorter factor has at least this many terms go through
 # Kronecker substitution; below it the schoolbook loop is faster.
@@ -212,6 +211,8 @@ class LaurentPoly:
         exponents appear, so integer inputs stay exact."""
         if self.is_zero():
             return 0
+        from fractions import Fraction
+
         if isinstance(x, numbers.Integral) and self.lowest < 0:
             x = Fraction(int(x))
         acc = 0

@@ -209,26 +209,32 @@ def _extract(ts: TrajectorySet, angle: float):
     c, s = math.cos(angle), math.sin(angle)
     proj = x * c + y * s
     gap = np.diff(np.sort(proj, axis=1), axis=1) <= tol
-    order = np.argsort(proj, axis=1, kind="stable")
     if gap.any():
         k, g = np.argwhere(gap)[0]
-        raise _coincident(order[k, g + 1] + 1, order[k, g] + 1)
+        order = np.argsort(proj[k], kind="stable")
+        raise _coincident(order[g + 1] + 1, order[g] + 1)
+    # Taken in the first sample's order, every sample is nearly sorted, so the
+    # merge sort runs in close to linear time; ``rank`` indexes ``first``.
     # Every pair whose projected order flips between samples k and k + 1 is a
     # candidate crossing.  Steps that are disjoint adjacent swaps are the rule;
     # any other step is searched over the window of positions that moved.
-    a, b = order[:-1], order[1:]
+    first = np.argsort(proj[0], kind="stable")
+    rank = np.argsort(proj[:, first], axis=1, kind="stable")
+    steps = np.nonzero((rank[:-1] != rank[1:]).any(axis=1))[0]
+    a, b = rank[steps], rank[steps + 1]
     swap = (a[:, :-1] == b[:, 1:]) & (a[:, 1:] == b[:, :-1])
-    odd_steps = np.nonzero((a != b).sum(axis=1) != 2 * swap.sum(axis=1))[0]
-    swap[odd_steps] = False
-    k, p = np.nonzero(swap)
-    cands = [(k, a[k, p], a[k, p + 1])]
-    for step in odd_steps:
-        moved = np.nonzero(a[step] != b[step])[0]
-        window = a[step, moved[0] : moved[-1] + 1]
-        newpos = np.argsort(b[step])[window]
+    odd = np.nonzero((a != b).sum(axis=1) != 2 * swap.sum(axis=1))[0]
+    swap[odd] = False
+    r, p = np.nonzero(swap)
+    cands = [(steps[r], a[r, p], a[r, p + 1])]
+    for r in odd:
+        moved = np.nonzero(a[r] != b[r])[0]
+        window = a[r, moved[0] : moved[-1] + 1]
+        newpos = np.argsort(b[r])[window]
         u, v = np.nonzero(np.triu(newpos[:, None] > newpos[None, :]))
-        cands.append((np.full(u.size, step), window[u], window[v]))
+        cands.append((np.full(u.size, steps[r]), window[u], window[v]))
     k, i, j = (np.concatenate(col) for col in zip(*cands))
+    i, j = first[i], first[j]
     i, j = np.minimum(i, j), np.maximum(i, j)
     d0, d1 = proj[k, i] - proj[k, j], proj[k + 1, i] - proj[k + 1, j]
     frac = d0 / (d0 - d1)
@@ -241,13 +247,13 @@ def _extract(ts: TrajectorySet, angle: float):
     oi, oj = across(i), across(j)
     bad = np.nonzero(np.abs(oi - oj) <= tol)[0]
     if bad.size:
-        first = bad[np.lexsort((k[bad], j[bad], i[bad]))[0]]
-        raise _coincident(i[first] + 1, j[first] + 1)
+        e = bad[np.lexsort((k[bad], j[bad], i[bad]))[0]]
+        raise _coincident(i[e] + 1, j[e] + 1)
     sign = rot * np.where(np.where(d0 < 0, oi > oj, oj > oi), 1, -1)
     # the assembly orders simultaneous crossings itself, so ties need no key
     by_time = np.argsort(tc, kind="stable")
     events = list(zip(*(col[by_time].tolist() for col in (tc, i, j, sign))))
-    order = list(order[0])
+    order = first.tolist()
     posof = {p: k for k, p in enumerate(order)}
     word = []
     tcross = []

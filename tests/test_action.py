@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidkit as bk
-from braidkit.action import _Form, _apply_gen
+from braidkit.action import _Form, _apply_word
 from braidkit.config import properties
+from braidkit.laurent import _pack, _slot_bits, _unpack
 from braidkit.linalg import det_exact
 
 
@@ -262,7 +263,7 @@ def _negate_a(a, rows_a, lo, hi):
 def _apply_gen_tracked(a, b, k, rows_a=None, rows_b=None):
     """Generator update written out twice, on the coordinates and again on
     the matrix rows ``rows_a``/``rows_b``: the reference for
-    :func:`_apply_gen` on forms."""
+    :func:`_apply_word` on forms."""
     m = len(a)
     N = m + 2
     i = abs(k)
@@ -343,15 +344,22 @@ def _apply_gen_full_reflection(a, b, k):
     whole ``a`` half: the reference for the kernel, which negates only the
     coordinates the generator reads."""
     if k > 0:
-        _apply_gen(a, b, k)
+        _apply_word(a, b, (k,))
         return
     a[:] = [-x for x in a]
-    _apply_gen(a, b, -k)
+    _apply_word(a, b, (-k,))
     a[:] = [-x for x in a]
 
 
-def _unpack(forms):
-    return [f[0] for f in forms], [f[1:] for f in forms]
+def _decode(forms, K):
+    """Values and rows of packed forms, each row padded to the form count."""
+    d = len(forms)
+    rows = []
+    for f in forms:
+        z, coeffs = _unpack(f[1], K)
+        assert sum(map(abs, coeffs)) <= f[2]  # the l1 bound holds
+        rows.append([0] * z + list(coeffs) + [0] * (d - z - len(coeffs)))
+    return [f[0] for f in forms], rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,20 +377,23 @@ def test_apply_gen_matches_full_reflection(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="rows seed"))
     rows = [[rng.randint(-3, 3) for _ in range(2 * m)] for _ in range(2 * m)]
 
+    # a slot wide enough for the rows' growth over the whole word
+    K = _slot_bits(max(sum(map(abs, r)) for r in rows).bit_length() + 3 * len(word))
+
     def forms():
-        fs = [_Form([x, *r]) for x, r in zip(a + b, rows)]
+        fs = [_Form((x, _pack(r, K), sum(map(abs, r)))) for x, r in zip(a + b, rows)]
         return fs[:m], fs[m:]
 
     got, ref = forms(), forms()
     tracked = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
     plain = (list(a), list(b))
     for k in word:
-        _apply_gen(*got, k)
+        _apply_word(*got, (k,))
         _apply_gen_full_reflection(*ref, k)
         _apply_gen_tracked(*tracked[:2], k, *tracked[2:])
-        _apply_gen(*plain, k)
-    got_values, got_rows = _unpack(got[0] + got[1])
-    assert (got_values, got_rows) == _unpack(ref[0] + ref[1])
+        _apply_word(*plain, (k,))
+    got_values, got_rows = _decode(got[0] + got[1], K)
+    assert (got_values, got_rows) == _decode(ref[0] + ref[1], K)
     assert got_values == tracked[0] + tracked[1]
     assert got_rows == tracked[2] + tracked[3]
     assert got_values == plain[0] + plain[1]
@@ -416,3 +427,56 @@ def test_act_with_matrix_matches_tracked_reference(direction):
                 l = image
     finally:
         props.gen_loop_act_dir = "lr"
+
+
+def test_act_with_matrix_matches_tracked_reference_on_long_words(monkeypatch):
+    # rows that outgrow the first slot width are re-packed wider mid-word;
+    # the decoded matrix still equals the tracked reference entry for entry
+    repacked = []
+
+    def counting_pack(coeffs, K):
+        repacked.append(K)
+        return _pack(coeffs, K)
+
+    monkeypatch.setattr("braidkit.laurent._pack", counting_pack)
+    rng = random.Random(11)
+    for n, L in [(3, 3000), (10, 1000), (20, 3000), (30, 3000), (30, 40)]:
+        word = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(L)]
+        b = bk.make_braid(word, n)
+        for basepoint in (True, False):
+            m = n - 1 if basepoint else n - 2
+            l = bk.make_loop([rng.randint(-(10**30), 10**30) for _ in range(2 * m)], basepoint)
+            image, M = bk.act_with_matrix(b, l)
+            assert (image.coords, M.entries) == _act_with_matrix_tracked(b, l, "lr")
+    assert repacked
+
+
+def test_act_with_matrix_edge_cases():
+    # one coordinate pair: a 2-strand braid acting without a basepoint, where
+    # both generator ends read the same pair
+    rng = random.Random(2)
+    for _ in range(50):
+        b = bk.make_braid(rand_word(rng, 2, 30), 2)
+        l = rand_loop(rng, 1, span=10**6)
+        image, M = bk.act_with_matrix(b, l)
+        assert (image.coords, M.entries) == _act_with_matrix_tracked(b, l, "lr")
+    # the empty word is the identity, with or without a basepoint
+    for l in (bk.canonical_loop(2), bk.make_loop([3, -4])):
+        image, M = bk.act_with_matrix(bk.make_braid([], 2), l)
+        assert image == l
+        assert M.entries == ((1, 0), (0, 1))
+
+
+def test_apply_word_rejects_a_bad_generator_deep_in_a_word():
+    rng = random.Random(4)
+    word = [rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(3000)]
+    word[2000], word[2500] = -5, 0
+    a, b = [0, 0, 0], [-1, -1, -1]
+    with pytest.raises(ValueError, match=r"^generator index -5 out of range for 5 punctures$"):
+        _apply_word(a, b, word)
+    assert (a, b) == ([0, 0, 0], [-1, -1, -1])  # checked before any update
+    word[2000] = 4
+    with pytest.raises(ValueError, match=r"^generator index 0 out of range"):
+        _apply_word(a, b, word)
+    _apply_word(a, b, [])
+    assert (a, b) == ([0, 0, 0], [-1, -1, -1])

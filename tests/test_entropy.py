@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 import braidkit as bk
-from braidkit.action import _apply_gen, _word_order
+from braidkit.action import _apply_word, _word_order
 from braidkit.entropy import (
     NONCONVERGENCE_WARNING,
     EntropyResult,
@@ -176,8 +176,7 @@ def _entropy_float(b, tol=1e-6, maxit=1000):
         m0 = _intaxis_from_ab(a, bb)
         shift = 0
         for chunk in chunks:
-            for k in chunk:
-                _apply_gen(a, bb, k)
+            _apply_word(a, bb, chunk)
             p = peak()
             if p > 2.0**512:
                 if p == math.inf:
@@ -253,3 +252,31 @@ def test_entropy_matches_cycle_spectral_radius_on_penner_words(n, L):
     r = bk.cycle(b)
     rate = math.log(bk.spectral_radius(r.product())) / r.period
     assert entropy(b).value == pytest.approx(rate, rel=1e-8)
+
+
+# n=3, L=100 words on which the loop length oscillates with period 3: the
+# estimator never settles, and the exact answer comes from the limit cycle,
+# whose charpoly x (x - 1)**3 has every root 0 or 1, so the entropy is 0
+OSCILLATING_WORDS = [
+    # seed 6, round 6 of the benchmark's invariants growth sweep
+    ([1, -2, 2, -1, -1, -1, -1, 1, -1, -1, -1, 2, 2, 1, 1, -2, -1, -2, -1, 1, 2, -1, -2, -1,
+      -1, 1, -1, -1, -2, -1, 1, 2, -2, -1, 1, 1, 1, 1, -2, -1, -2, 1, 1, 2, 2, -1, -1, 1, 2,
+      -1, -2, 2, -2, -1, -1, -1, -2, -2, -2, -2, -1, 1, 2, -1, -2, -1, 2, -2, 2, -2, 1, 2, 2,
+      2, -1, -2, -1, -1, -1, -2, -1, -1, 2, 1, 2, 2, 2, 2, -1, 1, -1, 1, -1, -2, -2, 2, 1,
+      -1, 2, -2], 1),
+    # seed 3, round 26
+    ([2, 2, 1, -2, -2, 1, -2, 1, 1, 2, 1, -2, 1, 2, -2, -2, 1, 2, 2, -1, 2, -1, 2, -2, 2, 1,
+      -1, 2, 1, -1, -2, -2, -2, -2, 2, 1, 1, -2, -2, 1, 2, -1, -2, -1, -1, -2, -2, -2, -1, -2,
+      2, -2, 2, -2, 1, 2, 1, -1, -1, 1, -2, 2, -2, -2, 2, 2, 2, 2, 1, -2, -2, -2, 1, -1, 2,
+      -2, 1, -1, 1, -1, 1, 1, -1, -1, 2, -2, 1, 2, -2, 2, 1, -1, 2, -2, -2, -1, -2, 2, -2,
+      -2], 5),
+]
+
+
+@pytest.mark.parametrize("word,preperiod", OSCILLATING_WORDS)
+def test_oscillating_words_have_exactly_zero_entropy(word, preperiod):
+    b = bk.make_braid(word, 3)
+    cyc = bk.cycle(b)
+    assert (cyc.preperiod, cyc.period) == (preperiod, 3)
+    assert bk.charpoly(cyc.product()) == (1, -3, 3, -1, 0)
+    assert bk.spectral_radius(cyc.product()) == 1.0

@@ -82,7 +82,7 @@ import io, json, sys, contextlib
 from braidkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('braidkit', 'numpy', 'scipy'))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('braidkit', 'numpy', 'scipy', 'fractions'))]))
 """
 
 
@@ -98,6 +98,14 @@ def test_cli_entropy_loads_only_the_action_layers():
     heavy = {"braidkit.render", "braidkit.burau", "braidkit.laurent", "braidkit.trajectories"}
     assert not loaded & heavy
     assert not {m for m in loaded if m.split(".")[0] in ("numpy", "scipy")}
+
+
+def test_cli_cycle_loads_the_row_codec_without_fractions():
+    # act_with_matrix packs its rows with laurent's codec; Fraction is
+    # imported only where a polynomial is evaluated
+    loaded = _loaded_by("cycle", "1 -2")
+    assert "braidkit.laurent" in loaded
+    assert "fractions" not in loaded
 
 
 def test_cli_ftbe_mindist_loads_no_scipy(tmp_path):
