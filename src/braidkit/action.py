@@ -9,14 +9,14 @@ written once, and every exact path calls it.
 For :func:`act_with_matrix` each coordinate is a ``_Form``, the tuple
 ``(value, packed, bound)``: ``packed`` holds the coordinate's matrix row,
 entry ``j`` in the ``j``-th balanced ``K``-bit slot (Kronecker substitution,
-as in :mod:`.laurent`), and ``bound`` is an l1 bound on the row.  So the same
-update yields the image, the integer matrix that realizes the action at that
-particular loop, and the bounds, by the triangle inequality.  The slots are
-exact while every bound is below ``2**(K - 1)``.  One generator multiplies a
-bound by at most 7 < 2**3, so before each chunk of ``_CHUNK`` generators that
-could break this, the rows are decoded and re-packed at a wider ``K``.
-Iterating a braid makes the matrix sequence eventually periodic;
-:func:`cycle` detects the limit cycle.
+with the slot codec of :mod:`.linalg`), and ``bound`` is an l1 bound on the
+row.  So the same update yields the image, the integer matrix that realizes
+the action at that particular loop, and the bounds, by the triangle
+inequality.  The slots are exact while every bound is below ``2**(K - 1)``.
+One generator multiplies a bound by at most 7 < 2**3, so before each chunk
+of ``_CHUNK`` generators that could break this, the rows are decoded and
+re-packed at a wider ``K``.  Iterating a braid makes the matrix sequence
+eventually periodic; :func:`cycle` detects the limit cycle.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -34,7 +34,7 @@ import dataclasses
 
 from . import braids
 from .config import properties
-from .linalg import mat_mul, mat_vec
+from .linalg import _pack, _slot_bits, _unpack, mat_mul, mat_vec
 from .loops import Loop, canonical_loop
 
 # A chunk of _CHUNK generators adds at most 3 * _CHUNK bits to a row's bound.
@@ -211,8 +211,6 @@ def act_with_matrix(b, l: Loop):
     The matrix satisfies ``entries @ coords(l) == coords(act(b, l))``
     exactly; it is valid only at loops sharing the same resolved branches.
     """
-    from .laurent import _pack, _slot_bits, _unpack
-
     b = braids._as_braid(b)
     _check_compat(b.n, l)
     word = _word_order(b.word)

@@ -19,6 +19,29 @@ import math
 from . import action
 
 
+def _key(b):
+    """Canonical coordinates of ``_as_braid(b)``, equal exactly for equal
+    braids, computed once per instance.  The word acts first entry first in
+    either action direction, since reversing words is an anti-automorphism
+    of the braid group; the ints hash the same in every process."""
+    key = b.__dict__.get("_canonical")
+    if key is None:
+        c = _as_braid(b)
+        key = action._canonical_image(c.word, c.n) if c.n > 1 else ()
+        object.__setattr__(b, "_canonical", key)
+    return key
+
+
+def _eq(a, b):
+    if type(b) is not type(a):
+        return NotImplemented
+    return a.n == b.n and equals(a, b)
+
+
+def _hash(b):
+    return hash((b.n, _key(b)))
+
+
 @dataclasses.dataclass(frozen=True)
 class Braid:
     word: tuple
@@ -55,24 +78,8 @@ class Braid:
     def __pow__(self, k: int):
         return power(self, k)
 
-    def __eq__(self, other):
-        if not isinstance(other, Braid):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        return equals(self, other)
-
-    def __hash__(self):
-        # Equal braids have equal canonical coordinates, computed once.  The
-        # word is applied first entry first whatever the configured action
-        # direction (reversing every word preserves equality), and the key
-        # holds only ints, so the hash is the same in every process.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            key = action._canonical_image(self.word, self.n) if self.n > 1 else ()
-            h = hash((self.n, key))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __eq__ = _eq
+    __hash__ = _hash
 
     def to_json(self) -> dict:
         return {"n": self.n, "word": list(self.word), "annular": False}
@@ -129,13 +136,12 @@ def power(b, k: int):
 
 
 def equals(a, b) -> bool:
-    """Exact group equality, via canonical loop coordinates."""
-    a, b = _as_braid(a), _as_braid(b)
+    """Exact group equality, by the cached canonical key the hash reads."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} != {b.n}")
-    if a.word == b.word:
+    if type(a) is type(b) and a.word == b.word:
         return True
-    return action.loopcoords(a) == action.loopcoords(b)
+    return _key(a) == _key(b)
 
 
 def lexeq(a: Braid, b: Braid) -> bool:
@@ -144,7 +150,8 @@ def lexeq(a: Braid, b: Braid) -> bool:
 
 
 def istrivial(b: Braid) -> bool:
-    return action.loopcoords(b) == action.loopcoords(identity_braid(b.n))
+    # the identity's key is the canonical loop's coordinates
+    return _key(b) == _key(identity_braid(b.n))
 
 
 def perm(b):
@@ -268,19 +275,8 @@ class AnnularBraid:
             return mul(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, AnnularBraid):
-            return NotImplemented
-        if self.nann != other.nann:
-            return False
-        return equals(self.to_braid(), other.to_braid())
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.to_braid())
-            object.__setattr__(self, "_hash", h)
-        return h
+    __eq__ = _eq
+    __hash__ = _hash
 
     def to_braid(self) -> Braid:
         """Rewrite over the standard generators on ``nann + 1`` strands.

@@ -19,14 +19,16 @@ takes the smallest new exponent for which its multipliers are non-negative
 powers of ``t``, so no step divides.  An integer ``t`` multiplies by powers
 of ``t`` and divides once at the end, giving a Fraction only where an entry
 is not an integer.  The symbolic mode evaluates at ``t = 2**K``, where a
-power of ``t`` is a shift, and reads each entry's coefficients back from its
-``K``-bit slots (Kronecker substitution).  ``K`` comes from a bound on the
-coefficients, so the reading is exact.  Past ``_KRONECKER_MAX_BITS`` of bound
-the ints grow too wide, and the symbolic mode runs the update on
-``LaurentPoly`` entries instead (:func:`_ring_rows`), the update that also
-serves float, complex and Fraction ``t``.  Determinants, and with them the
-Alexander polynomial, come from the fraction-free Bareiss elimination in
-:mod:`braidkit.linalg`, O(n^3) exact ring operations.
+power of ``t`` is a shift, and reads the coefficients back from ``K``-bit
+slots (Kronecker substitution, with the codec of :mod:`braidkit.linalg`).
+``K`` comes from a per-row coefficient bound advanced over each chunk of
+``_CHUNK`` generators, so the reading is exact; before a chunk whose bound
+would outgrow the slot, the entries are read back, the bound restarts from
+their largest coefficients, and they are re-packed at a new width.  Float,
+complex and Fraction ``t`` run the update on numbers (:func:`_ring_rows`).
+Determinants, and with them the Alexander polynomial, come from the
+fraction-free Bareiss elimination in :mod:`braidkit.linalg`, O(n^3) exact
+ring operations.
 """
 from __future__ import annotations
 
@@ -35,12 +37,12 @@ import numbers
 from fractions import Fraction
 
 from .braids import _as_braid
-from .laurent import LaurentPoly, _slot_bits, _unpack
-from .linalg import det_exact
+from .laurent import LaurentPoly
+from .linalg import _pack, _slot_bits, _unpack, det_exact
 
-# Past this many bits in the coefficient bound, the symbolic product's
-# integers get too wide and the LaurentPoly row update is faster.
-_KRONECKER_MAX_BITS = 1400
+# Generators per chunk of the symbolic product: a word of at most this many
+# never re-packs.
+_CHUNK = 256
 
 
 class FractionalPowersError(ValueError):
@@ -74,37 +76,36 @@ class BurauMatrix:
         return {"dim": self.dim, "symbolic": self.symbolic, "entries": rows}
 
 
-def _ring_rows(word, dim: int, one, zero, t, tinv):
-    """Rows of the Burau product of ``word`` over the ring of ``t``, one row
+def _ring_rows(word, dim: int, t, tinv):
+    """Rows of the Burau product of ``word`` at a number ``t``, one row
     update per generator."""
-    # acc[0] and acc[dim + 1] are zero rows, so every generator's row has
-    # both neighbours and the edge generators need no special case.
-    acc = [[zero] * dim]
-    acc += [[one if r == c else zero for c in range(dim)] for r in range(dim)]
-    acc.append([zero] * dim)
-    pos, neg = (one, -t, t), (tinv, -tinv, one)
+    acc = _identity(dim)
+    pos, neg = (1, -t, t), (tinv, -tinv, 1)
     for w in word:
         left, diag, right = pos if w > 0 else neg
         i = abs(w)
-        acc[i] = [zero + left * x + diag * y + right * z for x, y, z in zip(acc[i - 1], acc[i], acc[i + 1])]
+        # the leading 0 makes a sum of float -0.0 terms read 0.0
+        acc[i] = [0 + left * x + diag * y + right * z for x, y, z in zip(acc[i - 1], acc[i], acc[i + 1])]
     return acc[1:-1]
 
 
-def _integer_rows(word, dim: int, scale):
-    """The Burau product of ``word`` as integer rows with exponents of t.
+def _identity(dim: int):
+    """Identity rows between zero rows, which give every row two neighbours."""
+    return [[0] * dim] + [[int(r == c) for c in range(dim)] for r in range(dim)] + [[0] * dim]
 
-    Returns ``(R, s)`` such that row ``i`` of the product is ``R[i] *
-    t**(-s[i])``, where ``R[i]`` holds polynomials in ``t`` with no negative
-    powers, represented as ints by ``scale(row, k)``, which multiplies the
-    ints of a row by ``t**k`` (``k >= 0``).  A generator's row update takes
-    the smallest new ``s[i]`` for which its three multipliers ``(1, -t, t)``
-    or ``(1/t, -1/t, 1)`` times the neighbours' ``t**s`` are non-negative
-    powers of ``t``, so no step divides.
+
+def _integer_rows(word, R, s, scale):
+    """Multiply the state ``(R, s)`` of a Burau product by ``word``, in place.
+
+    Row ``i`` of the product is ``R[i] * t**(-s[i])``, where ``R[i]`` holds
+    polynomials in ``t`` with no negative powers, represented as ints by
+    ``scale(row, k)``, which multiplies the ints of a row by ``t**k`` (``k
+    >= 0``), between zero rows as in :func:`_identity`.  A generator's row
+    update takes the smallest new ``s[i]`` for which its three multipliers
+    ``(1, -t, t)`` or ``(1/t, -1/t, 1)`` times the neighbours' ``t**s`` are
+    non-negative powers of ``t``, so no step divides.
     """
-    R = [[0] * dim]
-    R += [[int(r == c) for c in range(dim)] for r in range(dim)]
-    R.append([0] * dim)
-    s = [0] * (dim + 2)
+    dim = len(R) - 2
     for w in word:
         i = abs(w)
         y = s[i]
@@ -119,33 +120,41 @@ def _integer_rows(word, dim: int, scale):
             kx, ky, kz = e - x - 1, e - y - 1, e - z
         R[i] = [a - b + c for a, b, c in zip(scale(R[i - 1], kx), scale(R[i], ky), scale(R[i + 1], kz))]
         s[i] = e
-    return R[1:-1], s[1:-1]
 
 
-def _kronecker_slot(word, dim: int):
-    """Slot width ``K`` for the symbolic product evaluated at ``2**K``, or
-    ``None`` when the coefficient bound passes ``_KRONECKER_MAX_BITS``.
-
-    Every multiplier of a row update is ``+-t**k``, whose l1 norm is 1, so
-    ``N[i] <- N[i-1] + N[i] + N[i+1]`` bounds the l1 norm, and with it every
-    coefficient, of each entry of row ``i``.
-    """
-    N = [0] + [1] * dim + [0]
+def _grow(N, word):
+    """The per-row coefficient bound ``N`` advanced over ``word``: every
+    multiplier of a row update is ``+-t**k``, so a new coefficient of row
+    ``i`` is a sum of one from each of rows ``i - 1``, ``i`` and ``i + 1``."""
+    N = N[:]
     for w in word:
         i = abs(w)
         N[i] += N[i - 1] + N[i + 1]
-        if N[i].bit_length() > _KRONECKER_MAX_BITS:
-            return None
-    return _slot_bits(max(N).bit_length())
+    return N
 
 
 def _symbolic(word, dim: int):
-    K = _kronecker_slot(word, dim)
-    if K is None:
-        one, zero = LaurentPoly.const(1), LaurentPoly()
-        return _ring_rows(word, dim, one, zero, LaurentPoly.var(), LaurentPoly.term(1, -1))
-    R, s = _integer_rows(word, dim, lambda row, k: [x << K * k for x in row] if k else row)
-    return [[LaurentPoly(z - e, coeffs) for z, coeffs in (_unpack(x, K) for x in row)] for row, e in zip(R, s)]
+    """Rows of ``LaurentPoly`` entries, by the integer kernel at ``t = 2**K``
+    run in chunks; a re-pack leaves room for about two more chunks."""
+    R, s = _identity(dim), [0] * (dim + 2)
+    N = [0] + [1] * dim + [0]
+    # the first chunk's slot; the identity's 0s and 1s read the same at every K
+    M = _grow(N, word[:_CHUNK])
+    K = _slot_bits(max(M).bit_length())
+    for start in range(0, len(word), _CHUNK):
+        chunk = word[start : start + _CHUNK]
+        if start:
+            M = _grow(N, chunk)
+        if _slot_bits(max(M).bit_length()) > K:
+            rows = [[_unpack(x, K) for x in row] for row in R]
+            N = [max((abs(c) for _, coeffs in row for c in coeffs), default=0) for row in rows]
+            M = _grow(N, chunk)
+            bits = max(M).bit_length()
+            K = _slot_bits(bits + 2 * (bits - max(N).bit_length()))
+            R = [[_pack(coeffs, K) << K * z for z, coeffs in row] for row in rows]
+        _integer_rows(chunk, R, s, lambda row, k: [x << K * k for x in row] if k else row)
+        N = M
+    return [[LaurentPoly(z - e, coeffs) for z, coeffs in (_unpack(x, K) for x in row)] for row, e in zip(R[1:-1], s[1:-1])]
 
 
 def _at_integer(word, dim: int, t: int):
@@ -158,9 +167,10 @@ def _at_integer(word, dim: int, t: int):
         p = t**k
         return [x * p for x in row]
 
-    R, s = _integer_rows(word, dim, scale)
+    R, s = _identity(dim), [0] * (dim + 2)
+    _integer_rows(word, R, s, scale)
     rows = []
-    for row, e in zip(R, s):
+    for row, e in zip(R[1:-1], s[1:-1]):
         if e <= 0:
             rows.append(scale(row, -e))
         else:
@@ -186,7 +196,7 @@ def burau(b, t=None):
     if isinstance(t, numbers.Integral):
         return BurauMatrix(entries=tuple(tuple(r) for r in _at_integer(word, dim, int(t))), symbolic=False)
     tinv = 1 / t if word else t  # the empty word needs no inverse, even at t = 0
-    rows = _ring_rows(word, dim, 1, 0, t, tinv)
+    rows = _ring_rows(word, dim, t, tinv)
     # Once two generators have acted, every entry (the untouched identity
     # ones too) has mixed with a t-valued one and takes t's number type.
     zero = 0 * t if len(word) > 1 else 0
@@ -209,19 +219,10 @@ def alexander(b, centered: bool = False) -> LaurentPoly:
     :class:`FractionalPowersError`.
     """
     b = _as_braid(b)
-    n = b.n
-    B = burau(b)
-    one = LaurentPoly.const(1)
-    zero = LaurentPoly()
-    rows = [[(one if r == c else zero) - x for c, x in enumerate(row)] for r, row in enumerate(B.entries)]
-    d = det_exact(rows)
-    t = LaurentPoly.var()
-    num = d * (one - t)
-    den = one - t**n
-    poly = num.exact_div(den)
-    if not centered:
-        return poly
-    if poly.is_zero():
+    one, zero, t = LaurentPoly.const(1), LaurentPoly(), LaurentPoly.var()
+    rows = [[(one if r == c else zero) - x for c, x in enumerate(row)] for r, row in enumerate(burau(b).entries)]
+    poly = (det_exact(rows) * (one - t)).exact_div(one - t**b.n)
+    if not centered or poly.is_zero():
         return poly
     span = poly.maxdeg + poly.mindeg
     if span % 2 != 0:

@@ -6,14 +6,11 @@ the carrier for reduced Burau entries and Alexander polynomials, so the
 display format puts the highest power first, e.g. ``+ z^(+2) - z^(+1) + 1``.
 
 Long products use Kronecker substitution (Harvey, J. Symb. Comput. 44,
-2009): each factor is evaluated at ``2**K`` into one integer whose ``K``-bit
-slots hold its coefficients (:func:`_pack`), the two integers are
-multiplied, and the slots of the product are read back (:func:`_unpack`).
-``K`` leaves room for every product coefficient, so the result is exact, and
-the one big-int product replaces the O(d^2) schoolbook loop.  Slots are
-balanced: a slot holds a coefficient ``c`` with ``|c| < 2**(K-1)``, encoded
-by adding the bias ``2**(K-1)`` to every slot, and ``K`` is a whole number
-of bytes so that ``int.to_bytes`` cuts the slots.  Factors with other
+2009): each factor is packed into one integer whose ``K``-bit slots hold its
+coefficients, the two integers are multiplied, and the slots of the product
+are read back, with the slot codec of :mod:`braidkit.linalg`.  ``K`` leaves
+room for every product coefficient, so the result is exact, and the one
+big-int product replaces the O(d^2) schoolbook loop.  Factors with other
 coefficients (floats, Fractions) take the schoolbook loop at every length.
 """
 from __future__ import annotations
@@ -22,46 +19,11 @@ import dataclasses
 import numbers
 import operator
 
+from .linalg import _pack, _slot_bits, _unpack
+
 # Products whose shorter factor has at least this many terms go through
 # Kronecker substitution; below it the schoolbook loop is faster.
 _KRONECKER_MIN_TERMS = 8
-
-
-def _slot_bits(bits: int) -> int:
-    """Slot width for coefficients of at most ``bits`` bits: a sign bit and
-    one spare bit, rounded up to whole bytes."""
-    return (bits + 2 + 7) // 8 * 8
-
-
-def _bias(slots: int, K: int) -> int:
-    """``2**(K-1)`` in each of ``slots`` slots of ``K`` bits."""
-    return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * slots, "little")
-
-
-def _pack(coeffs, K: int) -> int:
-    """The integer ``sum(c * 2**(K*j))`` over ``coeffs`` (lowest first);
-    needs ``|c| < 2**(K-1)`` and ``K`` a multiple of 8."""
-    half = 1 << (K - 1)
-    width = K // 8
-    data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(data, "little") - _bias(len(coeffs), K)
-
-
-def _unpack(E: int, K: int):
-    """Inverse of :func:`_pack`: ``(z, coeffs)``, where the ``z`` zero low
-    slots of ``E`` are stripped and ``coeffs`` starts at the first nonzero
-    one and ends at the last."""
-    if not E:
-        return 0, ()
-    z = ((E & -E).bit_length() - 1) // K  # a zero slot is K zero bits
-    E >>= K * z
-    slots = E.bit_length() // K + 1
-    width = K // 8
-    half = 1 << (K - 1)
-    data = (E + _bias(slots, K)).to_bytes(slots * width, "little")
-    read = int.from_bytes
-    coeffs = [read(data[k : k + width], "little") - half for k in range(0, len(data), width)]
-    return z, tuple(coeffs)
 
 
 @dataclasses.dataclass(frozen=True)

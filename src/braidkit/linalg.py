@@ -9,11 +9,53 @@ whose divisions are all exact: ``//`` in Z and Z[t, 1/t], true division in a
 field.  The characteristic polynomial uses the division-free Berkowitz
 algorithm and stays in the ring of the entries throughout; the spectral
 radius and its logarithm are the floating-point helpers.
+
+The slot codec of Kronecker substitution (Harvey, J. Symb. Comput. 44,
+2009) serves every module that packs integer polynomials or matrix rows into
+one int, a coefficient ``|c| < 2**(K-1)`` per balanced ``K``-bit slot, so a
+whole polynomial adds or shifts in one big-int operation.
 """
 from __future__ import annotations
 
 import math
 import numbers
+
+
+def _slot_bits(bits: int) -> int:
+    """Slot width for coefficients of at most ``bits`` bits: a sign bit and
+    one spare bit, rounded up to whole bytes."""
+    return (bits + 2 + 7) // 8 * 8
+
+
+def _bias(slots: int, K: int) -> int:
+    """``2**(K-1)`` in each of ``slots`` slots of ``K`` bits."""
+    return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * slots, "little")
+
+
+def _pack(coeffs, K: int) -> int:
+    """The integer ``sum(c * 2**(K*j))`` over ``coeffs`` (lowest first);
+    needs ``|c| < 2**(K-1)`` and ``K`` a multiple of 8."""
+    half = 1 << (K - 1)
+    width = K // 8
+    data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - _bias(len(coeffs), K)
+
+
+def _unpack(E: int, K: int):
+    """Inverse of :func:`_pack`: ``(z, coeffs)``, where the ``z`` zero low
+    slots of ``E`` are stripped and ``coeffs`` starts at the first nonzero
+    one and ends at the last."""
+    if not E:
+        return 0, ()
+    z = ((E & -E).bit_length() - 1) // K  # a zero slot is K zero bits
+    E >>= K * z
+    slots = E.bit_length() // K + 1
+    width = K // 8
+    half = 1 << (K - 1)
+    data = (E + _bias(slots, K)).to_bytes(slots * width, "little")
+    read = int.from_bytes
+    coeffs = [read(data[k : k + width], "little") - half for k in range(0, len(data), width)]
+    return z, tuple(coeffs)
 
 
 def mat_mul(A, B):

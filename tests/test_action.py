@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import braidkit as bk
 from braidkit.action import _Form, _apply_word
 from braidkit.config import properties
-from braidkit.laurent import _pack, _slot_bits, _unpack
+from braidkit.linalg import _pack, _slot_bits, _unpack
 from braidkit.linalg import det_exact
 
 
@@ -438,7 +438,7 @@ def test_act_with_matrix_matches_tracked_reference_on_long_words(monkeypatch):
         repacked.append(K)
         return _pack(coeffs, K)
 
-    monkeypatch.setattr("braidkit.laurent._pack", counting_pack)
+    monkeypatch.setattr("braidkit.action._pack", counting_pack)
     rng = random.Random(11)
     for n, L in [(3, 3000), (10, 1000), (20, 3000), (30, 3000), (30, 40)]:
         word = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(L)]

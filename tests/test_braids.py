@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidkit as bk
+from braidkit.action import _canonical_image
 from braidkit.braids import _cancel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -559,3 +560,59 @@ def test_annular_compact_matches_former_compact():
     # rewrite scan resumes at k - 2 rather than 0, so a few words settle on
     # another word; 398 of these 400 come out identical
     assert identical >= 390
+
+
+def _equal_and_unequal_pairs(rng, count):
+    """Word pairs on ``n`` strands, with whether they are the same braid:
+    a free insertion or a braid relation keeps the braid, an appended
+    generator changes it."""
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        w = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+        k = rng.randint(1, n - 1)
+        at = rng.randint(0, len(w))
+        pairs.append((n, w, w[:at] + [k, -k] + w[at:], True))
+        i = rng.randint(1, n - 2)
+        pairs.append((n, w + [i, i + 1, i], w + [i + 1, i, i + 1], True))
+        pairs.append((n, w, w + [rng.choice([1, -1]) * k], False))
+    return pairs
+
+
+@pytest.mark.parametrize("direction", ["lr", "rl"])
+def test_equals_is_the_same_in_both_action_directions(direction):
+    pairs = _equal_and_unequal_pairs(random.Random(33), 60)
+    bk.set_prop("GenLoopActDir", direction)
+    try:
+        for n, u, v, same in pairs:
+            a, b = bk.make_braid(u, n), bk.make_braid(v, n)
+            # loopcoords reads the configured direction; equality must not
+            assert (bk.loopcoords(a) == bk.loopcoords(b)) is same
+            assert bk.equals(a, b) is same and (a == b) is same
+            assert bk.istrivial(bk.mul(a, bk.inverse(b))) is same
+    finally:
+        bk.set_prop("GenLoopActDir", "lr")
+
+
+def test_set_of_planted_duplicates_computes_one_key_per_braid(monkeypatch):
+    rng = random.Random(8)
+    braids = [bk.make_braid([rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(rng.randint(0, 8))], 4) for _ in range(50)]
+    braids += [bk.make_braid([2, -2] + list(b.word), 4) for b in braids[:25]]
+    braids += [bk.make_braid(list(b.word) + [1, 3, -1, -3], 4) for b in braids[:25]]
+    keyed = []
+    real = _canonical_image
+
+    def counted(gens, n):
+        keyed.append(gens)
+        return real(gens, n)
+
+    monkeypatch.setattr("braidkit.action._canonical_image", counted)
+    unique = set(braids)
+    assert len(keyed) == len(braids)
+    reps = []
+    for b in braids[:50]:
+        if not any(r == b for r in reps):
+            reps.append(b)
+    # the duplicates collapse, and == and a second set() read the cached keys
+    assert len(unique) == len(reps) == len(set(braids))
+    assert len(keyed) == len(braids)

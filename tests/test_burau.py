@@ -1,5 +1,4 @@
 import importlib
-import math
 import numbers
 import random
 from fractions import Fraction
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 import braidkit as bk
 from braidkit.burau import FractionalPowersError, alexander, burau
 from braidkit.laurent import LaurentPoly
-from braidkit.linalg import det_exact, mat_mul
+from braidkit.linalg import _slot_bits, det_exact, mat_mul
 from test_laurent import reciprocal_symmetric
 
 burau_module = importlib.import_module("braidkit.burau")
@@ -200,15 +199,13 @@ def test_symbolic_at_t_equals_evaluated(nw):
 longer_words = st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(_gens(n), max_size=60)))
 
 
-@pytest.mark.parametrize("max_bits", [0, math.inf])
 @settings(max_examples=150, deadline=None)
 @given(nw=longer_words)
-def test_integer_kernel_matches_ring_rows(max_bits, nw):
-    # max_bits 0 sends every non-empty symbolic product to the ring row
-    # update, infinity sends all of them through the integer kernel
+def test_integer_kernel_matches_ring_rows(nw):
+    # chunks of 4 generators make the symbolic product re-pack mid-word
     n, w = nw
     b = bk.make_braid(w, n)
-    with mock.patch.object(burau_module, "_KRONECKER_MAX_BITS", max_bits):
+    with mock.patch.object(burau_module, "_CHUNK", 4):
         assert repr(burau(b).entries) == repr(_burau_reference(b))
     for t in INTEGER_TS:
         assert repr(burau(b, t).entries) == repr(_burau_reference(b, t))
@@ -220,17 +217,53 @@ def _long_cases():
     return [bk.make_braid([1, -2] * 300, 3), past]
 
 
+def _counting(name):
+    """A patch of ``burau.<name>`` that records the slot width of each
+    call, and the list it records into."""
+    calls = []
+    real = getattr(burau_module, name)
+
+    def counted(x, K):
+        calls.append(K)
+        return real(x, K)
+
+    return mock.patch.object(burau_module, name, counted), calls
+
+
 @pytest.mark.parametrize("case", [0, 1])
 def test_integer_kernel_matches_ring_rows_on_long_words(case):
     b = _long_cases()[case]
-    if case == 1:  # past the crossover
-        assert burau_module._kronecker_slot(b.word, b.n - 1) is None
     ref = repr(_burau_reference(b))
-    assert repr(burau(b).entries) == ref
-    with mock.patch.object(burau_module, "_KRONECKER_MAX_BITS", math.inf):
+    patch, packed = _counting("_pack")
+    with patch:
         assert repr(burau(b).entries) == ref
+    if case == 1:  # at least one re-pack, of all dim + 2 rows of dim entries
+        assert len(packed) >= (b.n + 1) * (b.n - 1)
     for t in (2, -7):
         assert repr(burau(b, t).entries) == repr(_burau_reference(b, t))
+
+
+def _linf_slot(word, dim):
+    """The slot of the per-row bound ``N[i] += N[i-1] + N[i+1]`` advanced
+    over the whole word, as one pass computes it."""
+    N = [0] + [1] * dim + [0]
+    for w in word:
+        N[abs(w)] += N[abs(w) - 1] + N[abs(w) + 1]
+    return _slot_bits(max(N).bit_length())
+
+
+@pytest.mark.parametrize("n, L", [(3, 20), (4, 255), (4, 256), (9, 200), (16, 256)])
+def test_one_chunk_words_take_the_bound_slot_without_a_repack(n, L):
+    rng = random.Random(n * L)
+    assert L <= burau_module._CHUNK
+    b = bk.make_braid([rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(L)], n)
+    pack, packed = _counting("_pack")
+    unpack, read = _counting("_unpack")
+    with pack, unpack:
+        got = burau(b).entries
+    assert not packed
+    assert set(read) == {_linf_slot(b.word, n - 1)}
+    assert repr(got) == repr(_burau_reference(b))
 
 
 @settings(max_examples=100, deadline=None)

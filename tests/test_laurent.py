@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidkit.laurent import _KRONECKER_MIN_TERMS, LaurentPoly, _pack, _unpack, laurent_from_json
+from braidkit.laurent import _KRONECKER_MIN_TERMS, LaurentPoly, laurent_from_json
+from braidkit.linalg import _pack, _unpack
 
 
 def poly(lowest, *coeffs):

@@ -101,11 +101,12 @@ def test_cli_entropy_loads_only_the_action_layers():
 
 
 def test_cli_cycle_loads_the_row_codec_without_fractions():
-    # act_with_matrix packs its rows with laurent's codec; Fraction is
-    # imported only where a polynomial is evaluated
-    loaded = _loaded_by("cycle", "1 -2")
-    assert "braidkit.laurent" in loaded
-    assert "fractions" not in loaded
+    # act_with_matrix packs its rows with the slot codec of linalg, which
+    # needs neither LaurentPoly nor Fraction
+    for argv in (("cycle", "1 -2"), ("charpoly", "1 -2"), ("act", "1 -2", "0 -1", "--matrix")):
+        loaded = _loaded_by(*argv)
+        assert "braidkit.linalg" in loaded
+        assert not loaded & {"braidkit.laurent", "fractions"}, argv
 
 
 def test_cli_ftbe_mindist_loads_no_scipy(tmp_path):
