@@ -136,11 +136,15 @@ def power(b, k: int):
 
 
 def equals(a, b) -> bool:
-    """Exact group equality, by the cached canonical key the hash reads."""
+    """Exact group equality, by the cached canonical key the hash reads.
+    Unless both keys are cached, unequal exponent sums (``writhe``, a group
+    invariant) answer ``False`` before either key is computed."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} != {b.n}")
     if type(a) is type(b) and a.word == b.word:
         return True
+    if not ("_canonical" in a.__dict__ and "_canonical" in b.__dict__) and writhe(a) != writhe(b):
+        return False
     return _key(a) == _key(b)
 
 
@@ -149,9 +153,10 @@ def lexeq(a: Braid, b: Braid) -> bool:
     return a.n == b.n and a.word == b.word
 
 
-def istrivial(b: Braid) -> bool:
-    # the identity's key is the canonical loop's coordinates
-    return _key(b) == _key(identity_braid(b.n))
+def istrivial(b) -> bool:
+    """Whether ``b`` is the identity, by :func:`equals`: a nonzero writhe
+    returns ``False`` before the identity's key is built."""
+    return equals(b, identity_braid(b.n))
 
 
 def perm(b):
@@ -170,7 +175,8 @@ def ispure(b) -> bool:
 
 
 def writhe(b) -> int:
-    return sum(1 if w > 0 else -1 for w in _as_braid(b).word)
+    word = _as_braid(b).word
+    return len(word) - 2 * len([w for w in word if w < 0])
 
 
 def subbraid(b, keep) -> Braid:
@@ -314,8 +320,13 @@ def _annular_gen_word(i: int, nann: int, positive: bool):
 
 def _as_braid(b) -> Braid:
     """``b`` over the standard generators: an annular braid is rewritten by
-    :meth:`AnnularBraid.to_braid`, a braid is returned as it is."""
-    return b.to_braid() if isinstance(b, AnnularBraid) else b
+    :meth:`AnnularBraid.to_braid` once per instance, so ``writhe`` and the
+    key in ``equals`` share one rewrite; a braid is returned as it is."""
+    if not isinstance(b, AnnularBraid):
+        return b
+    if "_braid" not in b.__dict__:
+        object.__setattr__(b, "_braid", b.to_braid())
+    return b._braid
 
 
 def make_annular_braid(word, nann: int | None = None) -> AnnularBraid:

@@ -1,11 +1,14 @@
 """Deterministic SVG rendering of braid diagrams and loops.
 
 Braid diagrams get one crossing per time slot with an over/under gap chosen
-by the generator sign.  Loop pictures are reconstructed from intersection
-numbers: every strand crossing of a vertical reference line becomes one
-junction point on that line, so counting path crossings per line in the SVG
-reproduces the loop's intersection numbers exactly; beyond those counts the
-picture is a best-effort visual.
+by the generator sign.  Each axis takes few distinct coordinates (O(n)
+positions, O(L) times), so each is formatted once into a per-axis string
+table, and a point joins a position string and a time string in the
+direction's (x, y) order.  Loop pictures are reconstructed from
+intersection numbers: every strand crossing of a vertical reference line
+becomes one junction point on that line, so counting path crossings per
+line in the SVG reproduces the loop's intersection numbers exactly; beyond
+those counts the picture is a best-effort visual.
 """
 from __future__ import annotations
 
@@ -50,6 +53,11 @@ def _polyline(points, color, cls=""):
     return f'<polyline{klass} points="{pts}" fill="none" stroke="{color}" stroke-width="{_STROKE_WIDTH}"/>'
 
 
+def _axis(origin, step, values):
+    """The SVG coordinate string of ``origin + v * step`` for each ``v``."""
+    return [f"{origin + v * step:.2f}" for v in values]
+
+
 def render_braid(b, spec: RenderSpec | None = None) -> str:
     """Braid diagram as an SVG document string.
 
@@ -65,72 +73,63 @@ def render_braid(b, spec: RenderSpec | None = None) -> str:
     n = b.n
     L = max(len(word), 1)
 
-    # logical layout: position q in [1, n], time t in [0, L]; transform later
+    # logical layout: position q in [1, n], time t in [0, L]
     margin = 30
-    if direction in ("bt", "tb"):
-        W, H = spec.width, spec.height
-        sq = (W - 2 * margin) / max(n - 1, 1)
-        st = (H - 2 * margin) / L
-
-        def xy(q, t):
-            x = margin + (q - 1) * sq
-            y = H - margin - t * st if direction == "bt" else margin + t * st
-            return x, y
-
-    else:
-        W, H = spec.width, spec.height
-        sq = (H - 2 * margin) / max(n - 1, 1)
-        st = (W - 2 * margin) / L
-
-        def xy(q, t):
-            y = margin + (q - 1) * sq
-            x = margin + t * st if direction == "lr" else W - margin - t * st
-            return x, y
+    W, H = spec.width, spec.height
+    upright = direction in ("bt", "tb")
+    sq = ((W if upright else H) - 2 * margin) / max(n - 1, 1)
+    st = ((H if upright else W) - 2 * margin) / L
+    # bt and rl count time from the far edge
+    origin, st = {"bt": (H - margin, -st), "tb": (margin, st), "lr": (margin, st)}.get(direction, (W - margin, -st))
+    Q = _axis(margin, sq, range(-1, n))  # Q[q] for q in [1, n]
+    T = _axis(origin, st, range(L + 1))
+    # an under strand breaks a fraction h into its slot and h before its end
+    h = 0.5 * (1 - 0.18 * 2)
+    lo, hi = _axis(margin, sq, [q + h - 1 for q in range(n)]), _axis(margin, sq, [q + 1 - h - 1 for q in range(n)])
+    Ta, Tb = _axis(origin, st, [k + h for k in range(L)]), _axis(origin, st, [k + 1 - h for k in range(L)])
 
     # follow each strand through the word; a strand gets a point only where
     # it enters or leaves a crossing, and the under strand breaks there
     at = list(range(n))  # position q (0-based) -> strand there
-    segments = [[[xy(q + 1, 0)]] for q in range(n)]
+    last = [0] * n  # strand -> time of its latest point
+    pts = [[Q[q + 1], T[0]] for q in range(n)]  # strand -> position, time, position, ...
+    cuts = [[] for _ in range(n)]  # strand -> first point of each segment after its first
     for k, w in enumerate(word):
         i = abs(w)
-        t0, t1 = k, k + 1
-        s_left, s_right = at[i - 1], at[i]
-        # left strand passes over for a positive generator
-        over_left = w > 0
-        for s, p0, p1 in ((s_left, i, i + 1), (s_right, i + 1, i)):
-            seg, entry = segments[s][-1], xy(p0, t0)
-            if seg[-1] != entry:
-                seg.append(entry)
-            is_over = (s == s_left) == over_left
-            if is_over or not over_under:
-                seg.append(xy(p1, t1))
-            else:
-                mid_q = (p0 + p1) / 2
-                gap = 0.18
-                qa = p0 + (mid_q - p0) * (1 - gap * 2)
-                ta = t0 + 0.5 * (1 - gap * 2)
-                seg.append(xy(qa, ta))
-                segments[s].append([xy(p1 - (p1 - mid_q) * (1 - gap * 2), t1 - 0.5 * (1 - gap * 2))])
-                segments[s][-1].append(xy(p1, t1))
-        at[i - 1], at[i] = s_right, s_left
+        # a positive generator takes the left strand over, from i to i + 1
+        po, pu = (i, i + 1) if w > 0 else (i + 1, i)
+        so, su = at[po - 1], at[pu - 1]
+        at[po - 1], at[pu - 1] = su, so
+        for s, p in ((so, po), (su, pu)):
+            if last[s] != k:
+                pts[s] += Q[p], T[k]
+            last[s] = k + 1
+        pts[so] += Q[pu], T[k + 1]
+        if over_under:
+            qa, qb = (hi[i], lo[i]) if w > 0 else (lo[i], hi[i])
+            cuts[su].append(len(pts[su]) // 2 + 1)
+            pts[su] += qa, Ta[k], qb, Tb[k], Q[po], T[k + 1]
+        else:
+            pts[su] += Q[po], T[k + 1]
     for q, s in enumerate(at):
-        seg, end = segments[s][-1], xy(q + 1, L)
-        if seg[-1] != end:
-            seg.append(end)
+        if last[s] != L:
+            pts[s] += Q[q + 1], T[L]
 
     parts = [_svg_header(W, H)]
     for s in range(n):
-        color = _PALETTE[s % len(_PALETTE)]
-        if annular and s == n - 1:
-            color = "#2a7f3f"  # the fixed center of the annulus
-        for seg in segments[s]:
-            if len(seg) >= 2:
-                parts.append(_polyline(seg, color, cls=f"strand strand-{s + 1}"))
-    for k, w in enumerate(word):
-        qx, qy = xy(abs(w) + 0.5, k + 0.5)
+        color = "#2a7f3f" if annular and s == n - 1 else _PALETTE[s % len(_PALETTE)]  # the annulus center
+        head = f'<polyline class="strand strand-{s + 1}" points="'
+        tail = f'" fill="none" stroke="{color}" stroke-width="{_STROKE_WIDTH}"/>'
+        qs, ts = pts[s][0::2], pts[s][1::2]
+        xy = list(map(",".join, zip(qs, ts) if upright else zip(ts, qs)))
+        for a, z in zip([0] + cuts[s], cuts[s] + [len(xy)]):
+            parts.append(head + " ".join(xy[a:z]) + tail)
+    C = _axis(margin, sq, [q - 0.5 for q in range(n)])  # C[i]: halfway from q = i to i + 1
+    cq, ct = [C[abs(w)] for w in word], _axis(origin, st, [k + 0.5 for k in range(len(word))])
+    for k, w, cx, cy in zip(range(len(word)), word, *((cq, ct) if upright else (ct, cq))):
         parts.append(
             f'<circle class="crossing {"over" if w > 0 else "under"}" data-slot="{k}" '
-            f'data-sign="{1 if w > 0 else -1}" cx="{qx:.2f}" cy="{qy:.2f}" r="0.5" '
+            f'data-sign="{1 if w > 0 else -1}" cx="{cx}" cy="{cy}" r="0.5" '
             f'fill="none" stroke="none"/>'
         )
     parts.append("</svg>")

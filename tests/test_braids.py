@@ -616,3 +616,117 @@ def test_set_of_planted_duplicates_computes_one_key_per_braid(monkeypatch):
     # the duplicates collapse, and == and a second set() read the cached keys
     assert len(unique) == len(reps) == len(set(braids))
     assert len(keyed) == len(braids)
+
+
+def _flip_two(rng, word):
+    """Negate one positive and one negative letter: the writhe and the
+    permutation stay, and the braid usually changes."""
+    w = list(word)
+    for sign in (1, -1):
+        w[rng.choice([k for k, x in enumerate(w) if x * sign > 0])] *= -1
+    return w
+
+
+def _writhe_pairs(rng, count):
+    """Word pairs of equal writhe and equal permutation on ``n`` strands that
+    are different braids, proved by their exact Burau matrices at t = 2."""
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(3, 7)
+        u = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 40))]
+        if min(u) > 0 or max(u) < 0:
+            continue
+        v = _flip_two(rng, u)
+        if bk.burau(bk.make_braid(u, n), 2) != bk.burau(bk.make_braid(v, n), 2):
+            pairs.append((n, u, v))
+    return pairs
+
+
+def test_equals_rejects_unequal_writhe_without_computing_keys():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        u = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 30))]
+        k = rng.randrange(len(u))
+        for a, b in ((bk.make_braid(u, n), bk.make_braid(u[:k] + [-u[k]] + u[k + 1 :], n)),
+                     (bk.make_annular_braid(u, n - 1), bk.make_braid(u, n)),
+                     (bk.make_braid(u, n), bk.make_braid(u + [1], n))):
+            if bk.writhe(a) == bk.writhe(b):
+                continue
+            assert not bk.equals(a, b) and not bk.equals(b, a)
+            assert "_canonical" not in a.__dict__ and "_canonical" not in b.__dict__
+
+
+def test_equals_with_equal_writhe_falls_through_to_the_key():
+    for n, u, v in _writhe_pairs(random.Random(18), 40):
+        a, b = bk.make_braid(u, n), bk.make_braid(v, n)
+        assert bk.writhe(a) == bk.writhe(b) and bk.perm(a) == bk.perm(b)
+        assert not bk.equals(a, b) and a != b
+        assert "_canonical" in a.__dict__ and "_canonical" in b.__dict__
+        # an equal pair reaches the key too
+        c = bk.make_braid(u[:1] + [1, -1] + u[1:], n)
+        assert bk.equals(a, c) and "_canonical" in c.__dict__
+
+
+def test_equals_skips_the_writhe_when_both_keys_are_cached(monkeypatch):
+    a, b, c = bk.make_braid([1, -2, 1], 3), bk.make_braid([1, 2, -2, -2, 1], 3), bk.make_braid([1, 2], 3)
+    assert hash(a) == hash(b) and hash(c) != hash(a)
+
+    def forbidden(b):
+        raise AssertionError("writhe read with both keys cached")
+
+    monkeypatch.setattr("braidkit.braids.writhe", forbidden)
+    assert bk.equals(a, b) and a == b and len({a, b, c}) == 2
+    assert not bk.equals(a, c) and a != c
+    with pytest.raises(AssertionError):
+        bk.equals(a, bk.make_braid([2, 1], 3))
+
+
+@pytest.mark.parametrize("direction", ["lr", "rl"])
+def test_equals_on_mixed_braid_and_annular_pairs(direction):
+    bk.set_prop("GenLoopActDir", direction)
+    try:
+        for n, u, v in _writhe_pairs(random.Random(19), 30):
+            a, b = bk.make_annular_braid(u, n - 1), bk.make_annular_braid(v, n - 1)
+            assert bk.writhe(a) == bk.writhe(b)
+            same = bk.burau(a, 2) == bk.burau(b, 2)
+            for x, y in ((a, b.to_braid()), (a.to_braid(), b)):
+                assert bk.equals(x, y) is same and bk.equals(y, x) is same
+            assert bk.equals(a, a.to_braid()) and bk.equals(bk.make_braid(list(b.to_braid().word) + [1, -1], n), b)
+            assert not bk.equals(a, bk.make_braid(list(a.to_braid().word) + [1], n))
+    finally:
+        bk.set_prop("GenLoopActDir", "lr")
+
+
+def test_equals_rewrites_each_annular_braid_once(monkeypatch):
+    rewrites = []
+    real = bk.AnnularBraid.to_braid
+
+    def counted(self):
+        rewrites.append(self.word)
+        return real(self)
+
+    monkeypatch.setattr(bk.AnnularBraid, "to_braid", counted)
+    a, b = bk.make_annular_braid([1, 3, -2], 3), bk.make_annular_braid([1, 3, -2, 3, -3], 3)
+    # writhe, the key and later operations share one rewrite per instance
+    assert bk.equals(a, b) and len(rewrites) == 2
+    assert bk.writhe(a) == 1 and bk.burau(a) == bk.burau(b) and bk.perm(a) == bk.perm(b)
+    assert len(rewrites) == 2
+
+
+def test_istrivial_rejects_nonzero_writhe_before_any_key():
+    rng = random.Random(20)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        w = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 9))]
+        conj = [-x for x in reversed(w)]
+        for b in (bk.make_braid(w + [1] + conj, n), bk.make_annular_braid(w + [n - 1] + conj, n - 1)):
+            assert bk.writhe(b) != 0
+            assert not bk.istrivial(b) and "_canonical" not in b.__dict__
+        # trivial words scrambled by a conjugated braid relation and a free
+        # pair; the annular ring generator n - 1 takes part in no relation
+        k = rng.randint(1, n - 1)
+        t = w + ([1, 2, 1, -2, -1, -2] if n > 2 else []) + conj
+        t[rng.randint(0, len(t)) : 0] = [k, -k]
+        assert bk.istrivial(bk.make_braid(t, n))
+        assert bk.istrivial(bk.make_annular_braid(w + [k, -k] + conj, n - 1))

@@ -180,6 +180,108 @@ def _render_braid_every_slot(b, spec=None):
     return "\n".join(parts)
 
 
+def _render_braid_reference(b, spec=None):
+    """The renderer before per-axis string tables, kept as the byte-for-byte
+    reference: it formats both coordinates of every point and decides a
+    strand's entry point by comparing float tuples."""
+    spec = spec or RenderSpec()
+    direction = spec.resolved_direction()
+    over_under = spec.resolved_over_under()
+    annular = isinstance(b, bk.AnnularBraid)
+    if annular:
+        b = b.to_braid()
+    word = b.word
+    n = b.n
+    L = max(len(word), 1)
+    margin = 30
+    if direction in ("bt", "tb"):
+        W, H = spec.width, spec.height
+        sq = (W - 2 * margin) / max(n - 1, 1)
+        st = (H - 2 * margin) / L
+
+        def xy(q, t):
+            x = margin + (q - 1) * sq
+            y = H - margin - t * st if direction == "bt" else margin + t * st
+            return x, y
+
+    else:
+        W, H = spec.width, spec.height
+        sq = (H - 2 * margin) / max(n - 1, 1)
+        st = (W - 2 * margin) / L
+
+        def xy(q, t):
+            y = margin + (q - 1) * sq
+            x = margin + t * st if direction == "lr" else W - margin - t * st
+            return x, y
+
+    at = list(range(n))
+    segments = [[[xy(q + 1, 0)]] for q in range(n)]
+    for k, w in enumerate(word):
+        i = abs(w)
+        t0, t1 = k, k + 1
+        s_left, s_right = at[i - 1], at[i]
+        over_left = w > 0
+        for s, p0, p1 in ((s_left, i, i + 1), (s_right, i + 1, i)):
+            seg, entry = segments[s][-1], xy(p0, t0)
+            if seg[-1] != entry:
+                seg.append(entry)
+            is_over = (s == s_left) == over_left
+            if is_over or not over_under:
+                seg.append(xy(p1, t1))
+            else:
+                mid_q = (p0 + p1) / 2
+                gap = 0.18
+                qa = p0 + (mid_q - p0) * (1 - gap * 2)
+                ta = t0 + 0.5 * (1 - gap * 2)
+                seg.append(xy(qa, ta))
+                segments[s].append([xy(p1 - (p1 - mid_q) * (1 - gap * 2), t1 - 0.5 * (1 - gap * 2))])
+                segments[s][-1].append(xy(p1, t1))
+        at[i - 1], at[i] = s_right, s_left
+    for q, s in enumerate(at):
+        seg, end = segments[s][-1], xy(q + 1, L)
+        if seg[-1] != end:
+            seg.append(end)
+
+    parts = [_svg_header(W, H)]
+    for s in range(n):
+        color = _PALETTE[s % len(_PALETTE)]
+        if annular and s == n - 1:
+            color = "#2a7f3f"
+        for seg in segments[s]:
+            if len(seg) >= 2:
+                parts.append(_polyline(seg, color, cls=f"strand strand-{s + 1}"))
+    for k, w in enumerate(word):
+        qx, qy = xy(abs(w) + 0.5, k + 0.5)
+        parts.append(
+            f'<circle class="crossing {"over" if w > 0 else "under"}" data-slot="{k}" '
+            f'data-sign="{1 if w > 0 else -1}" cx="{qx:.2f}" cy="{qy:.2f}" r="0.5" '
+            f'fill="none" stroke="none"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("direction", ["bt", "tb", "lr", "rl"])
+@pytest.mark.parametrize("over_under", [True, False])
+def test_render_braid_is_byte_identical_to_reference(direction, over_under):
+    rng = random.Random(f"bytes-{direction}-{over_under}")
+    sizes = [(2, 0), (2, 1), (2, 9), (5, 0), (20, 0)] + [(rng.randint(2, 20), rng.randint(0, 300)) for _ in range(16)]
+    for n, L in sizes + [(rng.randint(2, 20), rng.randint(1000, 3000))]:
+        word = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(L)]
+        # an annular braid draws its to_braid(), where generator n - 1 is
+        # the ring generator's longer word
+        braids = [bk.make_braid(word, n), bk.make_annular_braid(word, n - 1)]
+        # the default page, wide and tall pages, and each axis with negative
+        # extent; at an extent of exactly 2 * margin = 60 the time axis has
+        # zero length, and the reference dropped the coincident points
+        pages = [(480, 360), (1203, 97), (75, 2000), (rng.randint(61, 900), rng.randint(-40, 59))]
+        pages.append((rng.randint(-40, 59), rng.randint(61, 900)))
+        for width, height in pages if L <= 300 else pages[:1]:
+            spec = RenderSpec(direction=direction, over_under=over_under, width=width, height=height)
+            for b in braids:
+                assert render_braid(b, spec) == _render_braid_reference(b, spec), (n, word, width, height)
+
+
 def _drop_collinear(points):
     out = []
     for p in points:
