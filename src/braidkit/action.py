@@ -6,16 +6,19 @@ max/min branches are resolved by the actual coordinate values, the update is
 linear.  One kernel, :func:`_apply_word`, runs a whole word with the update
 written once, and every exact path calls it.
 
-For :func:`act_with_matrix` each coordinate is a ``_Form``, the tuple
-``(value, packed, bound)``: ``packed`` holds the coordinate's matrix row,
-entry ``j`` in the ``j``-th balanced ``K``-bit slot (Kronecker substitution,
-with the slot codec of :mod:`.linalg`), and ``bound`` is an l1 bound on the
-row.  So the same update yields the image, the integer matrix that realizes
-the action at that particular loop, and the bounds, by the triangle
-inequality.  The slots are exact while every bound is below ``2**(K - 1)``.
-One generator multiplies a bound by at most 7 < 2**3, so before each chunk
-of ``_CHUNK`` generators that could break this, the rows are decoded and
-re-packed at a wider ``K``.  Iterating a braid makes the matrix sequence
+For :func:`act_with_matrix` each coordinate is a form, the one int
+``E = value * 2**S + packed``: ``packed`` holds the coordinate's matrix row,
+entry ``j`` in the ``j``-th balanced ``K``-bit slot of ``S = K*d`` bits
+(Kronecker substitution, with the slot codec of :mod:`.linalg`).  While every
+entry is below ``2**(K-1)`` in size, ``|packed| < H = 2**(S-1)``, so the value
+is positive exactly when ``E > H`` and negative exactly when ``E < -H``; the
+kernel, comparing against ``H`` and ``-H``, then yields the image and the
+integer matrix that realizes the action at that particular loop.  A form
+decodes as ``v = (E + H) >> S``, ``packed = E - (v << S)``.  One generator
+multiplies the largest entry by at most 5 < 2**3, so before each chunk of
+``_CHUNK`` generators that could pass ``2**(K-1)``, one add and one AND per
+row test for room (:func:`_fits`); only a failed test decodes the rows and
+re-packs them at a wider ``K``.  Iterating a braid makes the matrix sequence
 eventually periodic; :func:`cycle` detects the limit cycle.
 
 Conventions, fixed once here and relied on everywhere else:
@@ -26,7 +29,7 @@ Conventions, fixed once here and relied on everywhere else:
   action appends new matrices on the left (latest applied leftmost);
 * an inverse generator is the conjugate of the positive one by the
   reflection that negates the ``a`` half of the coordinates; the kernel
-  negates only the ``a`` coordinates the generator reads and writes.
+  reflects only the ``a`` coordinates the generator reads and writes.
 """
 from __future__ import annotations
 
@@ -34,10 +37,10 @@ import dataclasses
 
 from . import braids
 from .config import properties
-from .linalg import _pack, _slot_bits, _unpack, mat_mul, mat_vec
+from .linalg import _bias, _pack, _slot_bits, _unpack, mat_mul, mat_vec
 from .loops import Loop, canonical_loop
 
-# A chunk of _CHUNK generators adds at most 3 * _CHUNK bits to a row's bound.
+# A chunk of _CHUNK generators adds at most 3 * _CHUNK bits to a row entry.
 _CHUNK = 32
 
 
@@ -81,86 +84,64 @@ class CycleResult:
         return prod
 
 
-class _Form(tuple):
-    """A coordinate that carries its matrix row, ``(value, packed, bound)``
-    as in the module docstring.  ``+`` and ``-`` act componentwise except
-    that bounds always add, comparisons read the value, and the int 0 of an
-    unresolved max/min branch (falsy, unlike any form) is the identity."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if not other:
-            return self
-        return _Form((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not other:
-            return self
-        return _Form((self[0] - other[0], self[1] - other[1], self[2] + other[2]))
-
-    def __rsub__(self, other):
-        return -self
-
-    def __neg__(self):
-        return _Form((-self[0], -self[1], self[2]))
-
-    def __gt__(self, other):
-        return self[0] > other
-
-    def __lt__(self, other):
-        return self[0] < other
-
-
-def _apply_word(a, b, word):
-    """Apply the signed generators of ``word`` in order, in place, to int or
-    :class:`_Form` coordinates."""
+def _apply_word(a, b, word, hi=0):
+    """Apply the signed generators of ``word`` in order, in place.  A
+    coordinate is positive above ``hi`` and negative below ``-hi``: 0 for
+    plain ints, ``H`` for forms.  A max/min branch resolved to 0 skips its
+    add, so no form is copied by ``x + 0``."""
     m = len(a)
     last = m + 1
     if min(map(abs, word), default=1) < 1 or max(map(abs, word), default=0) > last:
         k = next(k for k in word if not 1 <= abs(k) <= last)
         raise ValueError(f"generator index {k} out of range for {m + 2} punctures")
+    lo = -hi
     for k in word:
         # an inverse is the positive generator conjugated by the reflection
-        # that negates the a-coordinates: negate the ones read and written
+        # that negates the a-coordinates read and written (folded into the
+        # signs of d and of the a updates for a middle generator)
         inv = k < 0
         i = -k if inv else k
         if i == 1:
             a0, b0 = a[0], b[0]
             if inv:
                 a0 = -a0
-            bn = a0 + (b0 if b0 > 0 else 0)
-            an = -b0 + (bn if bn > 0 else 0)
+            bn = a0 + b0 if b0 > hi else a0
+            an = bn - b0 if bn > hi else -b0
             a[0], b[0] = -an if inv else an, bn
         elif i == last:
             a0, b0 = a[m - 1], b[m - 1]
             if inv:
                 a0 = -a0
-            bn = a0 + (b0 if b0 < 0 else 0)
-            an = -b0 + (bn if bn < 0 else 0)
+            bn = a0 + b0 if b0 < lo else a0
+            an = bn - b0 if bn < lo else -b0
             a[m - 1], b[m - 1] = -an if inv else an, bn
         else:
+            # with d = a1 - a2 (a-coordinates reflected for an inverse),
+            # t = d + min(b1, 0), c = t - max(b2, 0), u = max(b2, 0) - d:
+            # a1 -= max(b1, 0) + max(t, 0), a2 -= min(b2, 0) + min(u, 0),
+            # and (b1, b2) <- (b2 + min(c, 0), b1 - min(c, 0))
             j1, j2 = i - 2, i - 1
             a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
-            if inv:
-                a1, a2 = -a1, -a2
-            pb2 = b2 if b2 > 0 else 0
-            nb1 = b1 if b1 < 0 else 0
-            c = a1 - a2 - pb2 + nb1
-            pb1 = b1 if b1 > 0 else 0
-            t = pb2 + c
-            pt = t if t > 0 else 0
-            nc = c if c < 0 else 0
-            nb2 = b2 if b2 < 0 else 0
-            u = nb1 - c
-            nu = u if u < 0 else 0
-            na1 = a1 - pb1 - pt
-            na2 = a2 - nb2 - nu
-            if inv:
-                na1, na2 = -na1, -na2
-            a[j1], a[j2], b[j1], b[j2] = na1, na2, b2 + nc, b1 - nc
+            d = a2 - a1 if inv else a1 - a2
+            t = d + b1 if b1 < lo else d
+            if b1 > hi:
+                a1 = a1 + b1 if inv else a1 - b1
+            if t > hi:
+                a1 = a1 + t if inv else a1 - t
+            if b2 > hi:
+                c, u = t - b2, b2 - d
+                if u < lo:
+                    a2 = a2 + u if inv else a2 - u
+            else:
+                c = t
+                if b2 < lo:
+                    a2 = a2 + b2 if inv else a2 - b2
+                if d > hi:  # u = -d < 0
+                    a2 = a2 - d if inv else a2 + d
+            if c < lo:
+                a[j1], a[j2], b[j1], b[j2] = a1, a2, b2 + c, b1 - c
+            else:
+                a[j1], a[j2], b[j1], b[j2] = a1, a2, b2, b1
 
 
 def apply_generator(l: Loop, i: int, sign: int = 1) -> Loop:
@@ -179,15 +160,9 @@ def _word_order(word):
 
 
 def _check_compat(n: int, l: Loop):
-    if l.basepoint:
-        if n > l.n:
-            raise ValueError(
-                f"braid on {n} strands cannot act on a basepoint loop with {l.n} punctures"
-            )
-    elif n > l.totaln:
-        raise ValueError(
-            f"braid on {n} strands cannot act on a loop with {l.totaln} punctures"
-        )
+    N, kind = (l.n, "a basepoint loop") if l.basepoint else (l.totaln, "a loop")
+    if n > N:
+        raise ValueError(f"braid on {n} strands cannot act on {kind} with {N} punctures")
 
 
 def act(b, l):
@@ -213,27 +188,50 @@ def act_with_matrix(b, l: Loop):
     """
     b = braids._as_braid(b)
     _check_compat(b.n, l)
-    word = _word_order(b.word)
-    d = len(l.coords)
+    values, rows = _act_with_matrix(_word_order(b.word), l.coords)
+    m = len(values) // 2
+    return Loop(values[:m], values[m:], l.basepoint), LinearAction(rows)
 
-    def row(packed, K):
-        z, coeffs = _unpack(packed, K)
-        return (0,) * z + coeffs + (0,) * (d - z - len(coeffs))
 
-    # room for one chunk's growth keeps |entry| <= bound < 2**(K - 1)
+def _fits(forms, K, d, G):
+    """Whether every row entry ``c`` of ``forms`` (``d`` slots of ``K`` bits)
+    has ``-2**(K-1-G) <= c < 2**(K-1-G)``: with ``2**(K-1-G)`` added to each
+    slot, exactly then are the top ``G`` bits of every slot clear."""
+    unit = _bias(d, K) >> (K - 1)
+    off, mask = unit << (K - 1 - G), unit * ((1 << K) - (1 << (K - G)))
+    return not any((E + off) & mask for E in forms)
+
+
+def _act_with_matrix(word, coords):
+    """Image coordinates and matrix rows of ``word`` at ``coords``."""
+    d = len(coords)
+
+    def decode(E, K):
+        v = (E + (1 << (K * d - 1))) >> (K * d)
+        z, coeffs = _unpack(E - (v << (K * d)), K)
+        return v, (0,) * z + coeffs + (0,) * (d - z - len(coeffs))
+
     room = 3 * _CHUNK
     K = _slot_bits(1 + room)
-    forms = [_Form((x, 1 << (K * i), 1)) for i, x in enumerate(l.coords)]
-    a, bb = forms[: d // 2], forms[d // 2 :]
+    forms = [(x << (K * d)) + (1 << (K * i)) for i, x in enumerate(coords)]
+    bits = 0  # every row entry c has |c| <= 2**bits
     for s in range(0, len(word), _CHUNK):
-        need = _slot_bits(max(f[2] for f in a + bb).bit_length() + room)
-        if need > K:
-            wide = max(2 * K, need)
-            a, bb = ([_Form((v, _pack(row(p, K), wide), e)) for v, p, e in h] for h in (a, bb))
-            K = wide
-        _apply_word(a, bb, word[s : s + _CHUNK])
-    image = Loop(tuple(f[0] for f in a), tuple(f[0] for f in bb), l.basepoint)
-    return image, LinearAction(tuple(row(f[1], K) for f in a + bb))
+        chunk = word[s : s + _CHUNK]
+        grow = 3 * len(chunk)
+        if bits + grow >= K:
+            if _fits(forms, K, d, grow):
+                bits = K - 1 - grow
+            else:
+                decoded = [decode(E, K) for E in forms]
+                bits = max(abs(c) for _, r in decoded for c in r).bit_length()
+                K = max(2 * K, _slot_bits(bits + room))
+                forms = [(v << (K * d)) + _pack(r, K) for v, r in decoded]
+        a, bb = forms[: d // 2], forms[d // 2 :]
+        _apply_word(a, bb, chunk, 1 << (K * d - 1))
+        forms = a + bb
+        bits += grow
+    values, rows = zip(*(decode(E, K) for E in forms))
+    return values, rows
 
 
 def loopcoords(b) -> Loop:
@@ -266,11 +264,11 @@ def cycle(b, l0: Loop | None = None, maxit: int = 1000) -> CycleResult:
     if l0 is None:
         l0 = canonical_loop(b.n, basepoint=True)
     _check_compat(b.n, l0)
-    l = l0
+    word, coords = _word_order(b.word), l0.coords
     mats = []
     for _ in range(maxit):
-        l, M = act_with_matrix(b, l)
-        mats.append(M.entries)
+        coords, M = _act_with_matrix(word, coords)
+        mats.append(M)
         t = len(mats)
         for p in range(1, t // 2 + 1):
             if mats[t - p:] == mats[t - 2 * p : t - p]:

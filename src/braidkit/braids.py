@@ -42,19 +42,32 @@ def _hash(b):
     return hash((b.n, _key(b)))
 
 
+def _letters(b, size: str, extra: int):
+    """Store ``b.word`` as a tuple of ints, converting each letter once; a
+    ``None`` size becomes the least that holds the word (``extra`` plus the
+    largest index, and at least ``1 + extra``)."""
+    word = tuple(map(int, b.word))
+    object.__setattr__(b, "word", word)
+    if getattr(b, size) is None:
+        object.__setattr__(b, size, extra + max(map(abs, word), default=1))
+    return word
+
+
 @dataclasses.dataclass(frozen=True)
 class Braid:
+    """A word of signed generator indices on ``n`` strands; ``n=None`` is
+    the least strand count that supports the word (2 for the empty word)."""
+
     word: tuple
-    n: int
+    n: int | None
 
     def __post_init__(self):
-        word = tuple(int(w) for w in self.word)
-        object.__setattr__(self, "word", word)
-        for w in word:
+        word = _letters(self, "n", 1)
+        if word and (0 in word or -min(word) >= self.n or max(word) >= self.n):
+            w = next(w for w in word if w == 0 or abs(w) >= self.n)
             if w == 0:
                 raise ValueError("generator index 0 is not allowed")
-            if abs(w) >= self.n:
-                raise ValueError(f"generator {w} needs more than {self.n} strands")
+            raise ValueError(f"generator {w} needs more than {self.n} strands")
         if self.n < 1:
             raise ValueError("strand count must be at least 1")
 
@@ -91,9 +104,6 @@ def make_braid(word, n: int | None = None) -> Braid:
     The strand count defaults to the minimum that supports the word (2 for
     the empty word).
     """
-    word = tuple(int(w) for w in word)
-    if n is None:
-        n = 1 + max((abs(w) for w in word), default=1)
     return Braid(word=word, n=n)
 
 
@@ -250,20 +260,20 @@ class AnnularBraid:
 
     ``nann`` punctures move; the annulus center is a fixed extra puncture,
     so the underlying strand count is ``nann + 1``.  Generator ``nann``
-    carries the outermost puncture around the center.
+    carries the outermost puncture around the center; ``nann=None`` is the
+    largest index in the word (1 for the empty word).
     """
 
     word: tuple
-    nann: int
+    nann: int | None
 
     def __post_init__(self):
-        word = tuple(int(w) for w in self.word)
-        object.__setattr__(self, "word", word)
-        for w in word:
+        word = _letters(self, "nann", 0)
+        if word and (0 in word or -min(word) > self.nann or max(word) > self.nann):
+            w = next(w for w in word if w == 0 or abs(w) > self.nann)
             if w == 0:
                 raise ValueError("generator index 0 is not allowed")
-            if abs(w) > self.nann:
-                raise ValueError(f"generator {w} exceeds {self.nann} annular punctures")
+            raise ValueError(f"generator {w} exceeds {self.nann} annular punctures")
         if self.nann < 1:
             raise ValueError("need at least one annular puncture")
 
@@ -291,10 +301,8 @@ class AnnularBraid:
         one by passing around the center: it conjugates a first-strand
         crossing by a double crossing at the far end and a run across.
         """
-        word = []
-        for w in self.word:
-            word.extend(_annular_gen_word(abs(w), self.nann, w > 0))
-        return Braid(word=tuple(word), n=self.nann + 1)
+        gens = {w: _annular_gen_word(abs(w), self.nann, w > 0) for w in set(self.word)}
+        return Braid(word=tuple(x for w in self.word for x in gens[w]), n=self.nann + 1)
 
     def to_json(self) -> dict:
         return {"n": self.n, "word": list(self.word), "annular": True}
@@ -331,9 +339,6 @@ def _as_braid(b) -> Braid:
 
 def make_annular_braid(word, nann: int | None = None) -> AnnularBraid:
     """Annular braid; ``nann`` defaults to the largest index in the word."""
-    word = tuple(int(w) for w in word)
-    if nann is None:
-        nann = max((abs(w) for w in word), default=1)
     return AnnularBraid(word=word, nann=nann)
 
 

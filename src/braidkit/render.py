@@ -19,12 +19,27 @@ from .config import properties
 from .loops import Loop, intersec
 
 
+_MARGIN = 30  # px of page around the drawing on every side
+
+
 @dataclasses.dataclass
 class RenderSpec:
     direction: str | None = None     # bt | tb | lr | rl (None: global default)
     over_under: bool | None = None   # None: global default
-    width: int = 480
-    height: int = 360
+    width: int = 480                 # px, more than 2 * _MARGIN
+    height: int = 360                # px, more than 2 * _MARGIN
+
+    def __post_init__(self):
+        self._page()
+
+    def _page(self):
+        """``(width, height)``, each more than twice the margin: a smaller
+        page would collapse or mirror the drawing."""
+        for name in ("width", "height"):
+            size = getattr(self, name)
+            if size <= 2 * _MARGIN:
+                raise ValueError(f"{name} must be more than {2 * _MARGIN} px (twice the margin), got {size}")
+        return self.width, self.height
 
     def resolved_direction(self) -> str:
         return self.direction or properties().braid_plot_dir
@@ -74,8 +89,8 @@ def render_braid(b, spec: RenderSpec | None = None) -> str:
     L = max(len(word), 1)
 
     # logical layout: position q in [1, n], time t in [0, L]
-    margin = 30
-    W, H = spec.width, spec.height
+    margin = _MARGIN
+    W, H = spec._page()
     upright = direction in ("bt", "tb")
     sq = ((W if upright else H) - 2 * margin) / max(n - 1, 1)
     st = ((H if upright else W) - 2 * margin) / L
@@ -150,8 +165,8 @@ def render_loop(l: Loop, spec: RenderSpec | None = None) -> str:
     mu, nu = inums.mu, inums.nu
     N = l.totaln
     m = N - 2
-    W, H = spec.width, spec.height
-    margin = 30
+    W, H = spec._page()
+    margin = _MARGIN
     sx = (W - 2 * margin) / (N + 1)
 
     def X(u):

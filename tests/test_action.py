@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidkit as bk
-from braidkit.action import _Form, _apply_word
+from braidkit.action import _apply_word, _fits
 from braidkit.config import properties
 from braidkit.linalg import _pack, _slot_bits, _unpack
 from braidkit.linalg import det_exact
@@ -339,35 +339,31 @@ def _apply_gen_tracked(a, b, k, rows_a=None, rows_b=None):
     a[j1], a[j2], b[j1], b[j2] = na1, na2, nb_1, nb_2
 
 
-def _apply_gen_full_reflection(a, b, k):
+def _apply_gen_full_reflection(a, b, k, hi=0):
     """Inverse generators as the conjugate by the reflection that negates the
-    whole ``a`` half: the reference for the kernel, which negates only the
+    whole ``a`` half: the reference for the kernel, which reflects only the
     coordinates the generator reads."""
     if k > 0:
-        _apply_word(a, b, (k,))
+        _apply_word(a, b, (k,), hi)
         return
     a[:] = [-x for x in a]
-    _apply_word(a, b, (-k,))
+    _apply_word(a, b, (-k,), hi)
     a[:] = [-x for x in a]
 
 
-def _decode(forms, K):
-    """Values and rows of packed forms, each row padded to the form count."""
-    d = len(forms)
-    rows = []
-    for f in forms:
-        z, coeffs = _unpack(f[1], K)
-        assert sum(map(abs, coeffs)) <= f[2]  # the l1 bound holds
-        rows.append([0] * z + list(coeffs) + [0] * (d - z - len(coeffs)))
-    return [f[0] for f in forms], rows
+def _forms(values, rows, K):
+    """One-int forms ``value * 2**(K*d) + packed row`` of act_with_matrix."""
+    S = K * len(rows[0])
+    return [(x << S) + _pack(r, K) for x, r in zip(values, rows)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_apply_gen_matches_full_reflection(data):
-    # forms with random rows through the kernel, through the full-reflection
-    # conjugate and through the tracked reference agree on values and rows;
-    # frequent zero coordinates put the max/min branches on their ties
+    # int forms with random rows through the kernel, through the
+    # full-reflection conjugate and through the tracked reference agree on
+    # values and rows; frequent zero coordinates put the max/min branches on
+    # their ties
     m = data.draw(st.integers(1, 7), label="m")
     coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-20, 20))
     coords = st.lists(coord, min_size=m, max_size=m)
@@ -377,26 +373,46 @@ def test_apply_gen_matches_full_reflection(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="rows seed"))
     rows = [[rng.randint(-3, 3) for _ in range(2 * m)] for _ in range(2 * m)]
 
-    # a slot wide enough for the rows' growth over the whole word
-    K = _slot_bits(max(sum(map(abs, r)) for r in rows).bit_length() + 3 * len(word))
-
-    def forms():
-        fs = [_Form((x, _pack(r, K), sum(map(abs, r)))) for x, r in zip(a + b, rows)]
-        return fs[:m], fs[m:]
-
-    got, ref = forms(), forms()
+    # a slot wide enough for the entries' growth (< 2**3 per generator)
+    K = _slot_bits(2 + 3 * len(word))
+    hi = 1 << (K * 2 * m - 1)
+    forms = _forms(a + b, rows, K)
+    got, ref = (forms[:m], forms[m:]), (forms[:m], forms[m:])
     tracked = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
     plain = (list(a), list(b))
     for k in word:
-        _apply_word(*got, (k,))
-        _apply_gen_full_reflection(*ref, k)
+        _apply_word(*got, (k,), hi)
+        _apply_gen_full_reflection(*ref, k, hi)
         _apply_gen_tracked(*tracked[:2], k, *tracked[2:])
         _apply_word(*plain, (k,))
-    got_values, got_rows = _decode(got[0] + got[1], K)
-    assert (got_values, got_rows) == _decode(ref[0] + ref[1], K)
-    assert got_values == tracked[0] + tracked[1]
-    assert got_rows == tracked[2] + tracked[3]
-    assert got_values == plain[0] + plain[1]
+    assert got == ref
+    assert got[0] + got[1] == _forms(tracked[0] + tracked[1], tracked[2] + tracked[3], K)
+    assert plain[0] + plain[1] == tracked[0] + tracked[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fits_matches_exact_unpack(data):
+    # entries at -2**(K-1-G) and 2**(K-1-G), one step either side, or
+    # anywhere in the slot: the one-add one-AND test of act_with_matrix
+    # passes exactly when the exactly unpacked entries lie in [-e, e)
+    K = data.draw(st.sampled_from([8, 16, 104]), label="K")
+    G = data.draw(st.integers(1, K - 1), label="G")
+    d = data.draw(st.integers(2, 6), label="d")
+    e = 1 << (K - 1 - G)
+    half = 1 << (K - 1)
+    edge = st.sampled_from([-e - 1, -e, -e + 1, e - 1, e, e + 1])
+    entry = st.one_of(st.just(0), edge, st.integers(-half + 1, half - 1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=4))
+    value = st.one_of(st.integers(-2, 2), st.integers(-(10**40), 10**40))
+    values = data.draw(st.lists(value, min_size=len(rows), max_size=len(rows)))
+    forms = _forms(values, rows, K)
+    exact = []
+    for x, E in zip(values, forms):
+        z, coeffs = _unpack(E - (x << (K * d)), K)
+        exact.append([0] * z + list(coeffs) + [0] * (d - z - len(coeffs)))
+    assert exact == rows
+    assert _fits(forms, K, d, G) == all(-e <= c < e for r in exact for c in r)
 
 
 def _act_with_matrix_tracked(b, l, direction):

@@ -39,6 +39,28 @@ def test_make_braid_rejects_bad_indices():
         bk.make_braid([3], 3)
 
 
+def test_bad_letters_report_the_first_one():
+    # a word holding both a 0 and an out-of-range letter names whichever
+    # comes first, and numpy letters and a default size convert once
+    import numpy as np
+    for word, msg in [([1, 0, -5, 2], "generator index 0 is not allowed"),
+                      ([1, -5, 0, 2], "generator -5 needs more than 3 strands")]:
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            bk.make_braid(word, 3)
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            bk.make_braid(np.array(word), 3)
+    for word, msg in [([0, 4, 1], "generator index 0 is not allowed"),
+                      ([4, 0, 1], "generator 4 exceeds 3 annular punctures")]:
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            bk.make_annular_braid(word, 3)
+    with pytest.raises(ValueError, match="^strand count must be at least 1$"):
+        bk.make_braid([], 0)
+    b = bk.make_braid(np.array([2, -4, 1]))
+    assert b.n == 5 and b.word == (2, -4, 1) and all(type(w) is int for w in b.word)
+    assert bk.make_braid([]).n == 2 and bk.make_annular_braid([]).nann == 1
+    assert bk.make_annular_braid(w for w in [1, -3]).nann == 3
+
+
 def test_mul_matches_word_concatenation():
     a = bk.make_braid([1, -2])
     b = bk.make_braid([1, 2])

@@ -221,6 +221,14 @@ def test_render_cli(tmp_path, capsys):
     assert code == 0 and loop_path.read_text().startswith("<svg")
 
 
+def test_render_cli_rejects_a_page_without_room(tmp_path, capsys):
+    for opt in ("--width", "--height"):
+        out_path = tmp_path / "small.svg"
+        code, out, err = run(capsys, "render", "braid", "1 -2", opt, "60", "--out", str(out_path))
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err == f"Error: {opt[2:]} must be more than 60 px (twice the margin), got 60"
+
+
 def test_prop_set_and_get(capsys):
     code, out, _ = run(capsys, "prop", "set", "BraidPlotDir", "lr")
     assert code == 0

@@ -68,6 +68,24 @@ def test_render_braid_directions_differ_and_deterministic():
     assert render_braid(b, RenderSpec(direction="bt")) == svgs["bt"]
 
 
+def test_render_spec_rejects_pages_without_room_inside_the_margins():
+    # at most 2 * margin = 60 px along an axis leaves it no length, so the
+    # diagram would collapse or mirror; 61 px draws
+    for size in (60, 0, -40):
+        for kw in ({"width": size}, {"height": size}):
+            with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be more than 60 px .*got {size}$"):
+                RenderSpec(**kw)
+    b = bk.make_braid([1, -2])
+    for spec in (RenderSpec(width=61), RenderSpec(height=61)):
+        assert render_braid(b, spec).startswith(_svg_header(spec.width, spec.height))
+    spec = RenderSpec()
+    spec.height = 60  # a spec changed after construction is checked when drawn
+    with pytest.raises(ValueError, match="^height must be more than 60 px"):
+        render_braid(b, spec)
+    with pytest.raises(ValueError, match="^height must be more than 60 px"):
+        render_loop(bk.make_loop([-1, 1, -2, 0, -1, 0]), spec)
+
+
 def test_render_loop_counts_match_intersection_numbers():
     l = bk.make_loop([-1, 1, -2, 0, -1, 0])
     inums = bk.intersec(l)
@@ -271,12 +289,15 @@ def test_render_braid_is_byte_identical_to_reference(direction, over_under):
         # an annular braid draws its to_braid(), where generator n - 1 is
         # the ring generator's longer word
         braids = [bk.make_braid(word, n), bk.make_annular_braid(word, n - 1)]
-        # the default page, wide and tall pages, and each axis with negative
-        # extent; at an extent of exactly 2 * margin = 60 the time axis has
-        # zero length, and the reference dropped the coincident points
+        # the default page, wide and tall pages, and a page too small along
+        # each axis (at most 2 * margin = 60), which RenderSpec rejects
         pages = [(480, 360), (1203, 97), (75, 2000), (rng.randint(61, 900), rng.randint(-40, 59))]
         pages.append((rng.randint(-40, 59), rng.randint(61, 900)))
         for width, height in pages if L <= 300 else pages[:1]:
+            if min(width, height) <= 60:  # the page has no room inside the margins
+                with pytest.raises(ValueError, match="must be more than 60 px"):
+                    RenderSpec(direction=direction, over_under=over_under, width=width, height=height)
+                continue
             spec = RenderSpec(direction=direction, over_under=over_under, width=width, height=height)
             for b in braids:
                 assert render_braid(b, spec) == _render_braid_reference(b, spec), (n, word, width, height)
