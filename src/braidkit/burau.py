@@ -28,13 +28,13 @@ their largest coefficients, and they are re-packed at a new width.  Float,
 complex and Fraction ``t`` run the update on numbers (:func:`_ring_rows`).
 Determinants, and with them the Alexander polynomial, come from the
 fraction-free Bareiss elimination in :mod:`braidkit.linalg`, O(n^3) exact
-ring operations.
+ring operations, each step of which runs on the entries packed at ``t =
+2**K``.
 """
 from __future__ import annotations
 
 import dataclasses
 import numbers
-from fractions import Fraction
 
 from .braids import _as_braid
 from .laurent import LaurentPoly
@@ -174,6 +174,8 @@ def _at_integer(word, dim: int, t: int):
         if e <= 0:
             rows.append(scale(row, -e))
         else:
+            from fractions import Fraction  # only here can an entry be a Fraction
+
             d = t**e
             rows.append([x // d if not x % d else Fraction(x, d) for x in row])
     return rows
@@ -204,7 +206,7 @@ def burau(b, t=None):
 
 
 def _simplify_num(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if isinstance(x, numbers.Rational) and x.denominator == 1:
         return int(x)
     return x
 
@@ -213,19 +215,21 @@ def alexander(b, centered: bool = False) -> LaurentPoly:
     """Alexander-Conway polynomial of the braid closure.
 
     Computed as ``det(I - B(t)) * (1 - t) / (1 - t^n)`` from the symbolic
-    reduced Burau matrix; the division is exact.  The centered form is
-    shifted so that ``p(z) == +/- p(1/z)``; when the required shift is a
-    half-integer (links of several components) this raises
+    reduced Burau matrix; the division is exact.  The determinant is the
+    packed Bareiss elimination of :func:`braidkit.linalg.det_exact`, whose
+    exact divisions each take one big-int product with a 2-adic inverse and
+    are certified against the slot width.  The centered form is shifted so
+    that ``p(z) == +/- p(1/z)``; when the required shift is a half-integer
+    (links of several components) this raises
     :class:`FractionalPowersError`.
     """
     b = _as_braid(b)
-    one, zero, t = LaurentPoly.const(1), LaurentPoly(), LaurentPoly.var()
-    rows = [[(one if r == c else zero) - x for c, x in enumerate(row)] for r, row in enumerate(burau(b).entries)]
-    poly = (det_exact(rows) * (one - t)).exact_div(one - t**b.n)
+    t = LaurentPoly.var()
+    rows = [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(burau(b).entries)]
+    poly = (det_exact(rows) * (1 - t)).exact_div(1 - t**b.n)
     if not centered or poly.is_zero():
         return poly
     span = poly.maxdeg + poly.mindeg
     if span % 2 != 0:
         raise FractionalPowersError("Polynomial with fractional powers.")
     return poly.shift(-span // 2)
-

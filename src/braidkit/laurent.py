@@ -85,6 +85,9 @@ class LaurentPoly:
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
+        if type(other) is int:  # 0 and +-1 are shared constants, others need no trimming
+            const = _CONSTANTS.get(other)
+            return const if const is not None else LaurentPoly(0, (other,))
         if isinstance(other, numbers.Integral):
             return LaurentPoly.const(int(other))
         return NotImplemented
@@ -112,6 +115,8 @@ class LaurentPoly:
         return LaurentPoly(self.lowest, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
+        if type(other) is int:
+            return self + (-other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -139,8 +144,8 @@ class LaurentPoly:
                 bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length()
                 K = _slot_bits(bits)
                 return LaurentPoly(lowest, _unpack(_pack(a, K) * _pack(b, K), K)[1])
-            except AttributeError:
-                pass  # a coefficient that is not an int (no bit_length or to_bytes)
+            except (AttributeError, TypeError):
+                pass  # a coefficient that is not an int (no bit_length, or not packable)
         width = len(b)
         out = [0] * (len(a) + width - 1)
         for i, c in enumerate(a):
@@ -211,13 +216,6 @@ class LaurentPoly:
             raise ValueError("division leaves a remainder")
         return LaurentPoly(self.lowest - other.lowest, tuple(q))
 
-    def __floordiv__(self, other):
-        """Exact division, as ``//`` is for integers that divide evenly."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.exact_div(other)
-
     # -- display --------------------------------------------------------
 
     def display(self, var: str = "z") -> str:
@@ -244,6 +242,9 @@ class LaurentPoly:
 
     def to_json(self) -> dict:
         return {"lowest": self.lowest, "coeffs": list(self.coeffs)}
+
+
+_CONSTANTS = {0: LaurentPoly(), 1: LaurentPoly.const(1), -1: LaurentPoly.const(-1)}
 
 
 def laurent_from_json(data: dict) -> LaurentPoly:

@@ -1,14 +1,19 @@
 """Exact matrix helpers: products, determinants, characteristic polynomials.
 
-Matrices are sequences of rows.  Products and determinants work over any
-commutative ring whose elements support ``+``, ``-``, ``*`` and a zero test
-(``bool``): Python ints (which never overflow), ``LaurentPoly`` (the ring
-Z[t, 1/t] of the Burau matrices), and fields such as Fractions and floats.
-The determinant is fraction-free Bareiss elimination, O(n^3) ring operations
-whose divisions are all exact: ``//`` in Z and Z[t, 1/t], true division in a
-field.  The characteristic polynomial uses the division-free Berkowitz
-algorithm and stays in the ring of the entries throughout; the spectral
-radius and its logarithm are the floating-point helpers.
+Matrices are sequences of rows.  Products work over any commutative ring
+whose elements support ``+``, ``-`` and ``*``.  The determinant is
+fraction-free Bareiss elimination (Math. Comp. 22, 1968), O(n^3) ring
+operations whose divisions are all exact by Sylvester's identity: ``//`` over
+the integers, true division over a field (Fractions, floats), and over Z[t,
+1/t] (the ``LaurentPoly`` entries of the Burau matrices) a packed step per
+pivot: the step's entries become integers at ``t = 2**K``, every numerator
+takes two big-int products, and every division is one multiplication by a
+2-adic inverse of the previous pivot (Jebelean, J. Symb. Comput. 15, 1993),
+with a certificate that ``K`` was wide enough.  This module never imports
+``braidkit.laurent``; it recognises the entries by the loaded module.  The
+characteristic polynomial uses the division-free Berkowitz algorithm and
+stays in the ring of the entries throughout; the spectral radius and its
+logarithm are the floating-point helpers.
 
 The slot codec of Kronecker substitution (Harvey, J. Symb. Comput. 44,
 2009) serves every module that packs integer polynomials or matrix rows into
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+from array import array
 
 
 def _slot_bits(bits: int) -> int:
@@ -32,13 +39,25 @@ def _bias(slots: int, K: int) -> int:
     return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * slots, "little")
 
 
+# Signed machine integers by width in bits: slots of these widths convert in
+# one call, as two's complement, whose top bit flipped adds ``2**(K-1)``.
+_MACHINE = {array(code).itemsize * 8: code for code in "bhiq"}
+
+
 def _pack(coeffs, K: int) -> int:
     """The integer ``sum(c * 2**(K*j))`` over ``coeffs`` (lowest first);
     needs ``|c| < 2**(K-1)`` and ``K`` a multiple of 8."""
+    bias = _bias(len(coeffs), K)
+    code = _MACHINE.get(K)
+    if code:
+        data = array(code, coeffs)
+        if sys.byteorder == "big":
+            data.byteswap()
+        return (int.from_bytes(data, "little") ^ bias) - bias
     half = 1 << (K - 1)
     width = K // 8
     data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(data, "little") - _bias(len(coeffs), K)
+    return int.from_bytes(data, "little") - bias
 
 
 def _unpack(E: int, K: int):
@@ -51,8 +70,16 @@ def _unpack(E: int, K: int):
     E >>= K * z
     slots = E.bit_length() // K + 1
     width = K // 8
+    bias = _bias(slots, K)
+    code = _MACHINE.get(K)
+    if code:
+        out = array(code)
+        out.frombytes(((E + bias) ^ bias).to_bytes(slots * width, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        return z, tuple(out)
     half = 1 << (K - 1)
-    data = (E + _bias(slots, K)).to_bytes(slots * width, "little")
+    data = (E + bias).to_bytes(slots * width, "little")
     read = int.from_bytes
     coeffs = [read(data[k : k + width], "little") - half for k in range(0, len(data), width)]
     return z, tuple(coeffs)
@@ -77,13 +104,17 @@ def _in_field(x) -> bool:
 def det_exact(A):
     """Determinant by Bareiss fraction-free elimination.
 
-    Exact over the integers and over ``LaurentPoly`` entries, where every
-    division is an exact ``//`` (the Sylvester identity makes each
-    quotient a ring element); entries from a field divide with ``/``.
+    Exact over the integers, where every division is an exact ``//``, and
+    over ``LaurentPoly`` entries with integer coefficients (ints may stand
+    among them), which take the packed elimination of :func:`_det_laurent`;
+    entries from a field divide with ``/``.
     """
     n = len(A)
     if n == 0:
         return 1
+    laurent = sys.modules.get("braidkit.laurent")
+    if laurent and any(isinstance(x, laurent.LaurentPoly) for row in A for x in row):
+        return _det_laurent(A, laurent.LaurentPoly)
     M = [list(row) for row in A]
     sign = 1
     prev = 1
@@ -101,6 +132,172 @@ def det_exact(A):
                 M[i][j] = num / prev if field or _in_field(num) else num // prev
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def _det_laurent(A, poly):
+    """Bareiss elimination over Z[t, 1/t] on ``(lowest, coeffs)`` pairs.
+
+    ``poly`` is the ``LaurentPoly`` class, the type of the result; int
+    entries are constants.  Step ``k`` is :func:`_bareiss_step`.  A zero
+    column below the diagonal ends the elimination with the zero the generic
+    elimination would return: an int when the leading block it has reached
+    holds only ints, else ``poly()``.
+    """
+    M = []
+    for row in A:
+        out = []
+        for x in row:
+            if isinstance(x, poly):
+                pair = (x.lowest, x.coeffs)
+            elif isinstance(x, numbers.Integral):
+                pair = (0, (int(x),) if x else ())
+            else:
+                raise TypeError(f"cannot take the determinant of LaurentPoly and {type(x).__name__} entries")
+            if type(sum(pair[1])) is not int:
+                raise TypeError("the determinant of LaurentPoly entries needs integer coefficients")
+            out.append(pair)
+        M.append(out)
+    n = len(M)
+    order = list(range(n))
+    sign = 1
+    P = (0, (1,))  # the previous pivot
+    for k in range(n - 1):
+        if not M[k][k][1]:
+            r = next((r for r in range(k + 1, n) if M[r][k][1]), None)
+            if r is None:
+                block = (A[order[i]][j] for i in range(k + 1) for j in range(k + 1))
+                return poly() if any(isinstance(x, poly) for x in block) else 0
+            M[k], M[r] = M[r], M[k]
+            order[k], order[r] = order[r], order[k]
+            sign = -sign
+        _bareiss_step(M, k, P)
+        P = M[k][k]
+    lowest, coeffs = M[n - 1][n - 1]
+    return poly(lowest, coeffs if sign > 0 else tuple([-c for c in coeffs]))
+
+
+def _bareiss_step(M, k, P):
+    """Step ``k`` of the elimination over Z[t, 1/t], in place on the rows
+    of ``(lowest, coeffs)`` pairs below row ``k``: ``a_ij <- (a_ij a_kk -
+    a_ik a_kj) / P`` for ``i, j > k``, ``P`` the previous pivot.
+
+    ``B_ij = |a_ij| |a_kk|_1 + |a_ik| |a_kj|_1`` bounds the numerator's
+    coefficients (``|.|`` the largest in size, ``|.|_1`` the sum of sizes).
+    The step starts at the slot width ``K`` that holds every ``B_ij`` and
+    every packed coefficient below ``2**(K-2)``; when a quotient fails its
+    certificate it is redone at twice the width, or at the width past the
+    Landau-Mignotte bound on that quotient if smaller, where the true
+    quotient fits and passes, so the widening ends.
+    """
+    n = len(M)
+    pc = P[1]
+    norm1 = [sum(map(abs, c)) for _, c in M[k][k:]]
+    norm = [[max(map(abs, c), default=0) for _, c in row[k:]] for row in M[k + 1 :]]
+    bound = [[r[j] * norm1[0] + r[0] * norm1[j] for j in range(1, n - k)] for r in norm]
+    top = max(max(map(max, bound)), max(map(max, norm)), max(norm1), max(map(abs, pc)))
+    K = _slot_bits(top.bit_length())
+    if K < 64:
+        K = 1 << (K - 1).bit_length()  # a machine width, which the codec converts in one call
+    while True:
+        rows, wide = _eliminate(M, k, P, bound, K)
+        if rows is not None:
+            break
+        if K >= wide:
+            raise ArithmeticError("a Bareiss quotient failed its certificate past the Landau-Mignotte bound")
+        import logging
+
+        logging.getLogger("braidkit").debug("det_exact: step %d widens its slot from %d to %d bits", k, K, min(2 * K, wide))
+        K = min(2 * K, wide)
+    for row, new in zip(M[k + 1 :], rows):
+        row[k + 1 :] = new
+
+
+def _eliminate(M, k, P, bound, K):
+    """The new rows of step ``k`` at slot width ``K``: ``(rows, None)``, or
+    ``(None, width)``, the Landau-Mignotte width of a quotient that failed.
+
+    The entries and ``P`` are packed once at ``t = 2**K``, lowest exponents
+    kept apart.  A numerator ``N = t**e N(t)`` is two big-int products, one
+    shifted by whole slots; with ``P = t**l P(t)``, ``P(0) != 0``, the
+    quotient is ``t**(e-l) Q(t)``, ``deg Q <= d = deg N - deg P``.  One
+    Newton inverse of the odd part of ``P(2**K) = 2**v * odd`` serves the
+    step, and one product gives ``Q(2**K)`` modulo ``2**m``, ``m = K (d +
+    1)``; residues from ``2**(m-1)`` up are negative.  The decoded ``Q`` is
+    kept only when ``|Q| |P|_1 + B < 2**(K-1)``: then every coefficient of
+    ``Q P - N`` is below ``2**(K-1)`` in size and its value at ``2**K`` is a
+    multiple of ``2**m``, so its ``d + 1`` lowest coefficients vanish, and
+    as ``N`` is a multiple of ``P`` (Sylvester), ``Q`` is the quotient.
+    """
+    lp, pc = P
+    p1 = sum(map(abs, pc))
+    dp = len(pc) - 1
+    packed = _pack(pc, K)
+    v = (packed & -packed).bit_length() - 1
+    odd = packed >> v
+    lkk, ckk = M[k][k]
+    akk, dkk = _pack(ckk, K), len(ckk) - 1
+    pivot_row = [(lo, _pack(c, K), len(c) - 1) if c else None for lo, c in M[k][k + 1 :]]
+    nums = []
+    for row, brow in zip(M[k + 1 :], bound):
+        lik, cik = row[k]
+        aik, dik = (_pack(cik, K), len(cik) - 1) if cik else (0, 0)
+        out = []
+        for (lij, cij), kj, b in zip(row[k + 1 :], pivot_row, brow):
+            # the two products as (lowest exponent, highest exponent, value)
+            terms = []
+            if cij:
+                lo = lij + lkk
+                terms.append((lo, lo + len(cij) - 1 + dkk, _pack(cij, K) * akk))
+            if cik and kj:
+                lkj, akj, dkj = kj
+                lo = lik + lkj
+                terms.append((lo, lo + dik + dkj, -(aik * akj)))
+            e = min((t[0] for t in terms), default=0)
+            N = sum(value << K * (lo - e) for lo, _, value in terms)
+            dn = max((hi for _, hi, _ in terms), default=e) - e
+            out.append((N, e, dn, b) if N else None)
+        nums.append(out)
+    m_top = K * (max(max((x[2] for out in nums for x in out if x), default=0) - dp, 0) + 1)
+    inverse = _inverse_mod_power_of_two(odd, m_top)
+    half = 1 << (K - 1)
+    rows = []
+    for out in nums:
+        new = []
+        for x in out:
+            if x is None:
+                new.append((0, ()))
+                continue
+            N, e, dn, b = x
+            dq = max(dn - dp, 0)
+            m = K * (dq + 1)
+            mask = (1 << m) - 1
+            q = ((N >> v) & mask) * (inverse & mask) & mask
+            if q >> (m - 1):
+                q -= 1 << m
+            z, coeffs = _unpack(q, K)
+            if max(map(abs, coeffs), default=0) * p1 + b >= half:
+                return None, _slot_bits(dq + (dn + 1).bit_length() + b.bit_length() + p1.bit_length())
+            new.append((e - lp + z, coeffs))
+        rows.append(new)
+    return rows, None
+
+
+def _inverse_mod_power_of_two(p: int, m: int) -> int:
+    """The inverse of the odd ``p`` modulo ``2**m``.  Newton's step ``x <- x
+    - x (p x - 1)`` doubles the bits of an inverse, so the precisions run
+    ``m`` halved down to 64 bits, where ``pow`` starts, and back up, with
+    ``p`` cut to each working precision."""
+    precisions = []
+    while m > 64:
+        precisions.append(m)
+        m = (m + 1) // 2
+    x = pow(p & 0xFFFF_FFFF_FFFF_FFFF, -1, 1 << 64) & ((1 << m) - 1)
+    for b in reversed(precisions):
+        # x inverts p modulo 2**m, so p x - 1 is a multiple of 2**m
+        e = ((p & ((1 << b) - 1)) * x >> m) & ((1 << (b - m)) - 1)
+        x = (x - (x * e << m)) & ((1 << b) - 1)
+        m = b
+    return x
 
 
 def charpoly(A):

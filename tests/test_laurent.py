@@ -127,6 +127,20 @@ def test_eval_is_ring_hom(p):
     assert (p + q).eval_at(x) == p.eval_at(x) + q.eval_at(x)
 
 
+@given(polys)
+@settings(max_examples=100)
+def test_int_operands_act_as_laurent_constants(p):
+    # ints on either side, 0 and 1 (shared constants) among them, give what
+    # the constant polynomial gives
+    for c in (0, 1, -1, 7):
+        const = LaurentPoly(0, (c,))
+        pairs = ((c + p, const + p), (p + c, p + const), (c - p, const - p), (p - c, p - const),
+                 (c * p, const * p), (p * c, p * const), (sum([p, p]), p + p))
+        for got, ref in pairs:
+            assert type(got) is LaurentPoly and got == ref
+    assert LaurentPoly.const(0) == LaurentPoly() and 0 - LaurentPoly() == LaurentPoly()
+
+
 def test_power():
     t = LaurentPoly.var()
     assert t ** 3 == poly(3, 1)

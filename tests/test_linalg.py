@@ -1,13 +1,18 @@
 import cmath
+import logging
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidkit as bk
+from braidkit.laurent import LaurentPoly
 from braidkit.linalg import (
+    _inverse_mod_power_of_two,
     charpoly,
     det_exact,
     log_spectral_radius,
@@ -16,6 +21,7 @@ from braidkit.linalg import (
     poly_str,
     spectral_radius,
 )
+from test_burau import _det_cofactor, _square, small_ints, small_polys
 
 
 def identity_matrix(n: int):
@@ -157,3 +163,144 @@ def test_spectral_radius_of_symbolic_matrix_names_the_fix():
     for fn in (spectral_radius, log_spectral_radius):
         with pytest.raises(TypeError, match="evaluate"):
             fn(B)
+
+
+# ------------------------------------------- determinants over Z[t, 1/t]
+
+
+def _det_bareiss_generic(A):
+    """Bareiss elimination with one ring operation per entry update, exact
+    ``//`` on ints and ``exact_div`` on Laurent polynomials: what
+    ``det_exact`` ran over ``LaurentPoly`` entries before the packed step,
+    kept as the reference for its values and result types."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [list(row) for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            pivot = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if pivot is None:
+                return M[k][k]
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
+                M[i][j] = num.exact_div(prev) if isinstance(num, LaurentPoly) else num // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def _lifted(x):
+    return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
+
+
+def _same(got, ref):
+    return type(got) is type(ref) and got == ref
+
+
+def _i_minus_burau(b):
+    B = bk.burau(b)
+    return [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(B.entries)]
+
+
+# zeros of both types, often, so that pivots vanish and columns run out
+_sparse_entries = st.one_of(st.just(0), st.just(LaurentPoly()), small_ints, small_polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=_square(st.one_of(small_ints, small_polys)))
+def test_packed_det_matches_cofactor_on_mixed_int_and_laurent_entries(M):
+    got = det_exact(M)
+    assert _lifted(got) == _lifted(_det_cofactor(M))
+    assert _same(got, _det_bareiss_generic(M))
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_square(_sparse_entries))
+def test_packed_det_on_zero_pivots_and_singular_matrices(M):
+    # the result's type follows the generic elimination: an int zero where
+    # it stops on a leading block of ints
+    got = det_exact(M)
+    assert _same(got, _det_bareiss_generic(M))
+    assert _lifted(got) == _lifted(_det_cofactor(M))
+
+
+def test_packed_det_row_swaps_and_singular_cases():
+    t = LaurentPoly.var()
+    one = LaurentPoly.const(1)
+    # a zero pivot at step 0 and again at step 1, each fixed by a row swap
+    M = [[0 * t, one, t], [0 * t, 0 * t, one - t], [t, 2 + t, 3 * t]]
+    assert det_exact(M) == _det_cofactor(M)
+    swapped = [[t, one], [one, 0 * t]]
+    assert det_exact(swapped) == -one
+    assert det_exact([[0 * t, one], [t, 0 * t]]) == -t
+    # singular: a zero column at step 0, a zero column after elimination,
+    # and two equal rows
+    assert _same(det_exact([[0 * t, t], [0 * t, one]]), LaurentPoly())
+    assert _same(det_exact([[0, t], [0, 1]]), 0)
+    assert _same(det_exact([[t, t], [t, t]]), LaurentPoly())
+    assert _same(det_exact([[1, t, 2], [1, t, 2], [t, 1, 0]]), LaurentPoly())
+
+
+@pytest.mark.parametrize("n, L, seed", [(n, L, n + L) for n in range(3, 13) for L in (0, 17, 120, 300) if n * L <= 2400])
+def test_packed_det_matches_generic_bareiss_on_i_minus_burau(n, L, seed):
+    M = _i_minus_burau(bk.random_braid(n, L, seed))
+    assert _same(det_exact(M), _det_bareiss_generic(M))
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (5, 2), (8, 3)])
+def test_packed_det_matches_generic_bareiss_on_annular_braids(n, seed):
+    rng = random.Random(seed)
+    word = [rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(60)]
+    M = _i_minus_burau(bk.make_annular_braid(word, n))
+    assert _same(det_exact(M), _det_bareiss_generic(M))
+
+
+def _forcing_matrices():
+    """3x3 matrices whose step-1 quotient ``-s`` fails the certificate at
+    the first slot width, with the numerator ``-s p``:
+    ``s = (1 - t)**24`` and ``p = (1 + t)**24`` cancel to coefficients no
+    larger than those of ``s``, so only the factor ``|p|_1 = 2**24`` of the
+    certificate asks for the wider slot; ``s = [12]_t!`` (coefficients up to
+    25,598,186) and ``p = (1 - t)**12`` cancel to coefficients of at most 4,
+    so ``s`` does not fit the first slot at all."""
+    t = LaurentPoly.var()
+    factorial = LaurentPoly.const(1)
+    for i in range(1, 13):
+        factorial = factorial * LaurentPoly(0, (1,) * i)
+    for p, s in (((1 + t) ** 24, (1 - t) ** 24), ((1 - t) ** 12, factorial)):
+        yield [[p, 1, 0], [1, 0, 0], [0, 0, s]], -s
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_packed_det_widens_its_slot_and_stays_exact(case, caplog):
+    M, expected = list(_forcing_matrices())[case]
+    with caplog.at_level(logging.DEBUG, logger="braidkit"):
+        got = det_exact(M)
+    assert got == expected == _det_cofactor(M)
+    widenings = [r.args for r in caplog.records if r.name == "braidkit"]
+    assert widenings and all(r.levelno == logging.DEBUG for r in caplog.records)
+    for (step, old, new), nxt in zip(widenings, widenings[1:] + [None]):
+        assert step == 1 and new > old
+        assert nxt is None or nxt[1] == new
+
+
+def test_packed_det_rejects_non_integer_coefficients():
+    with pytest.raises(TypeError, match="integer coefficients"):
+        det_exact([[LaurentPoly(0, (1.5, 2)), 1], [0, 1]])
+    with pytest.raises(TypeError, match="Fraction"):
+        det_exact([[LaurentPoly.var(), Fraction(1, 2)], [0, 1]])
+
+
+@pytest.mark.parametrize("m", [1, 7, 63, 64, 65, 128, 129, 1000, 4099])
+def test_inverse_mod_power_of_two(m):
+    rng = random.Random(m)
+    for _ in range(20):
+        p = rng.getrandbits(rng.choice([3, 70, 3000])) | 1
+        for q in (p, -p):
+            x = _inverse_mod_power_of_two(q, m)
+            assert 0 <= x < 2**m and q * x % 2**m == 1 % 2**m

@@ -82,7 +82,7 @@ import io, json, sys, contextlib
 from braidkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('braidkit', 'numpy', 'scipy', 'fractions'))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('braidkit', 'numpy', 'scipy', 'fractions', 'decimal', 'logging'))]))
 """
 
 
@@ -107,6 +107,27 @@ def test_cli_cycle_loads_the_row_codec_without_fractions():
         loaded = _loaded_by(*argv)
         assert "braidkit.linalg" in loaded
         assert not loaded & {"braidkit.laurent", "fractions"}, argv
+
+
+def test_cli_alexander_and_symbolic_burau_load_no_fractions_or_logging():
+    # Fraction enters only on the integer-t path of burau, and logging only
+    # when an elimination step widens its slot
+    for argv in (("alexander", "1 2 -3"), ("burau", "1 -2", "--symbolic")):
+        loaded = _loaded_by(*argv)
+        assert {"braidkit.burau", "braidkit.laurent", "braidkit.linalg"} <= loaded, argv
+        assert not loaded & {"fractions", "decimal", "logging"}, argv
+
+
+def test_laurent_determinants_do_not_load_logging():
+    code = (
+        "import sys, braidkit as bk\n"
+        "from braidkit.linalg import det_exact\n"
+        "t = bk.LaurentPoly.var()\n"
+        "bk.alexander(bk.random_braid(7, 200, 1)); bk.burau(bk.make_braid([1, -2, 3], 4)).det()\n"
+        "det_exact([[t, 1, 2], [0, 1 - t, t], [t * t, 3, 0]])\n"
+        "print('logging' in sys.modules)"
+    )
+    assert _fresh(code).strip() == "False"
 
 
 def test_cli_ftbe_mindist_loads_no_scipy(tmp_path):
