@@ -169,10 +169,9 @@ def test_spectral_radius_of_symbolic_matrix_names_the_fix():
 
 
 def _det_bareiss_generic(A):
-    """Bareiss elimination with one ring operation per entry update, exact
-    ``//`` on ints and ``exact_div`` on Laurent polynomials: what
-    ``det_exact`` ran over ``LaurentPoly`` entries before the packed step,
-    kept as the reference for its values and result types."""
+    """Bareiss elimination one ring operation at a time, exact ``//`` on ints
+    and ``exact_div`` on Laurent polynomials: the reference for the values
+    and result types of the packed elimination over ``LaurentPoly``."""
     n = len(A)
     if n == 0:
         return 1
