@@ -144,8 +144,8 @@ class LaurentPoly:
                 bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length()
                 K = _slot_bits(bits)
                 return LaurentPoly(lowest, _unpack(_pack(a, K) * _pack(b, K), K)[1])
-            except (AttributeError, TypeError):
-                pass  # a coefficient that is not an int (no bit_length, or not packable)
+            except AttributeError:
+                pass  # a coefficient that is not an int (no bit_length or to_bytes)
         width = len(b)
         out = [0] * (len(a) + width - 1)
         for i, c in enumerate(a):

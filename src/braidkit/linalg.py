@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from array import array
 
 
 def _slot_bits(bits: int) -> int:
@@ -39,25 +38,13 @@ def _bias(slots: int, K: int) -> int:
     return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * slots, "little")
 
 
-# Signed machine integers by width in bits: slots of these widths convert in
-# one call, as two's complement, whose top bit flipped adds ``2**(K-1)``.
-_MACHINE = {array(code).itemsize * 8: code for code in "bhiq"}
-
-
 def _pack(coeffs, K: int) -> int:
     """The integer ``sum(c * 2**(K*j))`` over ``coeffs`` (lowest first);
     needs ``|c| < 2**(K-1)`` and ``K`` a multiple of 8."""
-    bias = _bias(len(coeffs), K)
-    code = _MACHINE.get(K)
-    if code:
-        data = array(code, coeffs)
-        if sys.byteorder == "big":
-            data.byteswap()
-        return (int.from_bytes(data, "little") ^ bias) - bias
     half = 1 << (K - 1)
     width = K // 8
     data = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(data, "little") - bias
+    return int.from_bytes(data, "little") - _bias(len(coeffs), K)
 
 
 def _unpack(E: int, K: int):
@@ -70,16 +57,8 @@ def _unpack(E: int, K: int):
     E >>= K * z
     slots = E.bit_length() // K + 1
     width = K // 8
-    bias = _bias(slots, K)
-    code = _MACHINE.get(K)
-    if code:
-        out = array(code)
-        out.frombytes(((E + bias) ^ bias).to_bytes(slots * width, "little"))
-        if sys.byteorder == "big":
-            out.byteswap()
-        return z, tuple(out)
     half = 1 << (K - 1)
-    data = (E + bias).to_bytes(slots * width, "little")
+    data = (E + _bias(slots, K)).to_bytes(slots * width, "little")
     read = int.from_bytes
     coeffs = [read(data[k : k + width], "little") - half for k in range(0, len(data), width)]
     return z, tuple(coeffs)
@@ -107,7 +86,8 @@ def det_exact(A):
     Exact over the integers, where every division is an exact ``//``, and
     over ``LaurentPoly`` entries with integer coefficients (ints may stand
     among them), which take the packed elimination of :func:`_det_laurent`;
-    entries from a field divide with ``/``.
+    integral coefficients of other types convert to int, and others, such
+    as floats, raise ``TypeError``.  Entries from a field divide with ``/``.
     """
     n = len(A)
     if n == 0:
@@ -154,7 +134,7 @@ def _det_laurent(A, poly):
             else:
                 raise TypeError(f"cannot take the determinant of LaurentPoly and {type(x).__name__} entries")
             if type(sum(pair[1])) is not int:
-                raise TypeError("the determinant of LaurentPoly entries needs integer coefficients")
+                pair = (pair[0], _int_coeffs(pair[1]))
             out.append(pair)
         M.append(out)
     n = len(M)
@@ -174,6 +154,14 @@ def _det_laurent(A, poly):
         P = M[k][k]
     lowest, coeffs = M[n - 1][n - 1]
     return poly(lowest, coeffs if sign > 0 else tuple([-c for c in coeffs]))
+
+
+def _int_coeffs(coeffs):
+    """``coeffs`` as ints: integral values of any type (numpy ints, a
+    Fraction with denominator 1) convert, others raise ``TypeError``."""
+    if not all(isinstance(c, numbers.Rational) and int(c) == c for c in coeffs):
+        raise TypeError("the determinant of LaurentPoly entries needs integer coefficients")
+    return tuple(map(int, coeffs))
 
 
 def _bareiss_step(M, k, P):
@@ -196,8 +184,6 @@ def _bareiss_step(M, k, P):
     bound = [[r[j] * norm1[0] + r[0] * norm1[j] for j in range(1, n - k)] for r in norm]
     top = max(max(map(max, bound)), max(map(max, norm)), max(norm1), max(map(abs, pc)))
     K = _slot_bits(top.bit_length())
-    if K < 64:
-        K = 1 << (K - 1).bit_length()  # a machine width, which the codec converts in one call
     while True:
         rows, wide = _eliminate(M, k, P, bound, K)
         if rows is not None:
@@ -226,7 +212,9 @@ def _eliminate(M, k, P, bound, K):
     kept only when ``|Q| |P|_1 + B < 2**(K-1)``: then every coefficient of
     ``Q P - N`` is below ``2**(K-1)`` in size and its value at ``2**K`` is a
     multiple of ``2**m``, so its ``d + 1`` lowest coefficients vanish, and
-    as ``N`` is a multiple of ``P`` (Sylvester), ``Q`` is the quotient.
+    as ``N`` is a multiple of ``P`` (Sylvester), ``Q`` is the quotient.  A
+    residue with a digit ``-2**(K-1)`` fails this test, also where the
+    codec cannot decode it.
     """
     lp, pc = P
     p1 = sum(map(abs, pc))
@@ -274,8 +262,12 @@ def _eliminate(M, k, P, bound, K):
             q = ((N >> v) & mask) * (inverse & mask) & mask
             if q >> (m - 1):
                 q -= 1 << m
-            z, coeffs = _unpack(q, K)
-            if max(map(abs, coeffs), default=0) * p1 + b >= half:
+            try:
+                z, coeffs = _unpack(q, K)
+                passed = max(map(abs, coeffs), default=0) * p1 + b < half
+            except OverflowError:  # q has a digit -2**(K-1), which no passing Q has
+                passed = False
+            if not passed:
                 return None, _slot_bits(dq + (dn + 1).bit_length() + b.bit_length() + p1.bit_length())
             new.append((e - lp + z, coeffs))
         rows.append(new)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import braidkit as bk
 from braidkit.laurent import LaurentPoly
 from braidkit.linalg import (
+    _eliminate,
     _inverse_mod_power_of_two,
+    _unpack,
     charpoly,
     det_exact,
     log_spectral_radius,
@@ -288,9 +290,32 @@ def test_packed_det_widens_its_slot_and_stays_exact(case, caplog):
         assert nxt is None or nxt[1] == new
 
 
+def test_packed_det_fails_a_residue_the_codec_cannot_decode():
+    # N = 2 (64 + 64t) - t * 1 = 128 + 127t over P = 1: at K = 8 the residue
+    # N(2**8) = 32640 has the balanced digits (-128, -128, 1), which the codec
+    # cannot decode
+    with pytest.raises(OverflowError):
+        _unpack(32640, 8)
+    M = [[(0, (2,)), (0, (1,))], [(1, (1,)), (0, (64, 64))]]
+    bound = [[64 * 2 + 1 * 1]]
+    rows, width = _eliminate(M, 0, (0, (1,)), bound, 8)
+    assert rows is None and width > 8
+    assert _eliminate(M, 0, (0, (1,)), bound, width) == ([[(0, (128, 127))]], None)
+
+
+def test_packed_det_takes_integral_coefficients_of_any_type():
+    t = LaurentPoly.var()
+    A = [[LaurentPoly(-1, (np.int64(2), np.int64(-3))), t], [np.int64(2), LaurentPoly(0, (Fraction(5), 1))]]
+    got = det_exact(A)
+    assert got == _det_cofactor(A) == LaurentPoly(-1, (10, -13, -5))
+    assert all(type(c) is int for c in got.coeffs)
+
+
 def test_packed_det_rejects_non_integer_coefficients():
     with pytest.raises(TypeError, match="integer coefficients"):
         det_exact([[LaurentPoly(0, (1.5, 2)), 1], [0, 1]])
+    with pytest.raises(TypeError, match="integer coefficients"):
+        det_exact([[LaurentPoly(0, (Fraction(1, 2), 2)), 1], [0, 1]])
     with pytest.raises(TypeError, match="Fraction"):
         det_exact([[LaurentPoly.var(), Fraction(1, 2)], [0, 1]])
 
