@@ -33,10 +33,8 @@ Conventions, fixed once here and relied on everywhere else:
 """
 from __future__ import annotations
 
-import dataclasses
-
 from . import braids
-from .config import properties
+from .config import Record, properties
 from .linalg import _bias, _pack, _slot_bits, _unpack, mat_mul, mat_vec
 from .loops import Loop, canonical_loop
 
@@ -48,8 +46,7 @@ class CycleNotFoundError(RuntimeError):
     """Raised when no limit cycle appears within the iteration budget."""
 
 
-@dataclasses.dataclass(frozen=True)
-class LinearAction:
+class LinearAction(Record):
     """One resolved linear branch of the piecewise-linear action."""
 
     entries: tuple  # rows, as tuples of ints
@@ -68,8 +65,7 @@ class LinearAction:
         return {"dim": self.dim, "entries": [list(r) for r in self.entries]}
 
 
-@dataclasses.dataclass(frozen=True)
-class CycleResult:
+class CycleResult(Record):
     """Limit cycle of the per-iterate effective linear actions."""
 
     preperiod: int

@@ -13,10 +13,10 @@ extra strand.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from . import action
+from .config import Record, replace
 
 
 def _key(b):
@@ -53,8 +53,7 @@ def _letters(b, size: str, extra: int):
     return word
 
 
-@dataclasses.dataclass(frozen=True)
-class Braid:
+class Braid(Record):
     """A word of signed generator indices on ``n`` strands; ``n=None`` is
     the least strand count that supports the word (2 for the empty word)."""
 
@@ -119,7 +118,7 @@ def mul(a, b):
     other annular factor is converted by :meth:`AnnularBraid.to_braid` first.
     """
     if type(a) is type(b) and a.n == b.n:
-        return dataclasses.replace(a, word=a.word + b.word)
+        return replace(a, word=a.word + b.word)
     a, b = _as_braid(a), _as_braid(b)
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} != {b.n}")
@@ -135,14 +134,14 @@ def embed(b: Braid, n: int) -> Braid:
 
 def inverse(b):
     """The inverse braid, of the same type as ``b``."""
-    return dataclasses.replace(b, word=tuple(-w for w in reversed(b.word)))
+    return replace(b, word=tuple(-w for w in reversed(b.word)))
 
 
 def power(b, k: int):
     """``b`` to the ``k``-th power, of the same type as ``b``."""
     if k >= 0:
-        return dataclasses.replace(b, word=b.word * k)
-    return dataclasses.replace(b, word=inverse(b).word * (-k))
+        return replace(b, word=b.word * k)
+    return replace(b, word=inverse(b).word * (-k))
 
 
 def equals(a, b) -> bool:
@@ -254,8 +253,7 @@ def fulltwist(n: int) -> Braid:
 # ----------------------------------------------------------------- annular
 
 
-@dataclasses.dataclass(frozen=True)
-class AnnularBraid:
+class AnnularBraid(Record):
     """Braid of punctures in an annulus.
 
     ``nann`` punctures move; the annulus center is a fixed extra puncture,
@@ -426,4 +424,4 @@ def compact(b):
     the moving-puncture generators follow the standard rules.
     """
     ring = b.nann if isinstance(b, AnnularBraid) else b.n
-    return dataclasses.replace(b, word=tuple(_compact_word(list(b.word), ring)))
+    return replace(b, word=tuple(_compact_word(list(b.word), ring)))

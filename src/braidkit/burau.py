@@ -33,10 +33,10 @@ ring operations, each step of which runs on the entries packed at ``t =
 """
 from __future__ import annotations
 
-import dataclasses
 import numbers
 
 from .braids import _as_braid
+from .config import Record
 from .laurent import LaurentPoly
 from .linalg import _pack, _slot_bits, _unpack, det_exact
 
@@ -49,8 +49,7 @@ class FractionalPowersError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class BurauMatrix:
+class BurauMatrix(Record):
     """Reduced Burau matrix of a braid word; entries are LaurentPoly in
     symbolic mode or plain numbers in evaluated mode."""
 

@@ -9,7 +9,6 @@ message on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import warnings
@@ -18,7 +17,7 @@ import braidkit as bk
 
 # Handlers reach the library through the lazy package, so a command loads
 # only the modules it calls; argparse needs the property names up front.
-from .config import PROP_KEYS
+from .config import PROP_KEYS, replace
 
 TAFFY_FIXTURES = {
     "taffy3": [-2, 1, 1, -2],
@@ -50,7 +49,7 @@ def _braid_arg(args, word=None):
 def _other_arg(args, a):
     """The second word of ``braid mul|equals``, as a braid of the first
     braid's type and strand count."""
-    return dataclasses.replace(a, word=_parse_word(args.other))
+    return replace(a, word=_parse_word(args.other))
 
 
 def _loop_arg(text: str, basepoint: bool):
@@ -319,121 +318,114 @@ def _add_word_opts(p):
     p.add_argument("--annular", action="store_true", help="treat the word as an annular braid")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The parser of every command; with ``cmd``, the first argument of
+    ``main`` that is not an option, only that subparser gets its arguments.
+    Help and usage errors read the same: every subparser keeps its help line."""
     ap = argparse.ArgumentParser(prog="braidkit", description=__doc__)
     ap.add_argument("--json", action="store_true", help="emit JSON instead of display text")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    pb = sub.add_parser("braid", help="braid algebra operations")
-    pb.add_argument(
-        "op",
-        choices=[
-            "make", "mul", "inverse", "power", "compact", "equals", "istrivial",
-            "perm", "writhe", "subbraid", "tensor", "random", "halftwist",
-            "fulltwist", "annular",
-        ],
-    )
-    _add_word_opts(pb)
-    pb.add_argument("other", nargs="?", default="", help="second word (mul/equals/tensor)")
-    pb.add_argument("--k", type=int, default=2, help="exponent for power")
-    pb.add_argument("--keep", default="", help="strands to keep for subbraid")
-    pb.add_argument("--strands", type=int, default=3, help="strand count for random/halftwist")
-    pb.add_argument("--length", type=int, default=10, help="word length for random")
-    pb.add_argument("--seed", type=int, default=None)
-    pb.set_defaults(func=_cmd_braid)
+    def command(name, help, func):
+        sub.add_parser(name, help=help).set_defaults(func=func)
+        return sub.choices[name] if cmd in (None, name) else None
 
-    pl = sub.add_parser("loop", help="loop coordinate operations")
-    pl.add_argument("op", choices=["make", "canonical", "intersec", "minlength", "intaxis"])
-    pl.add_argument("coords", nargs="?", default="", help="coordinate vector")
-    pl.add_argument("--punctures", type=int, default=3, help="puncture count for canonical")
-    pl.add_argument("--basepoint", action="store_true")
-    pl.add_argument("--no-basepoint", action="store_true", help="canonical loop without basepoint")
-    pl.set_defaults(func=_cmd_loop)
+    if p := command("braid", "braid algebra operations", _cmd_braid):
+        p.add_argument(
+            "op",
+            choices=[
+                "make", "mul", "inverse", "power", "compact", "equals", "istrivial",
+                "perm", "writhe", "subbraid", "tensor", "random", "halftwist",
+                "fulltwist", "annular",
+            ],
+        )
+        _add_word_opts(p)
+        p.add_argument("other", nargs="?", default="", help="second word (mul/equals/tensor)")
+        p.add_argument("--k", type=int, default=2, help="exponent for power")
+        p.add_argument("--keep", default="", help="strands to keep for subbraid")
+        p.add_argument("--strands", type=int, default=3, help="strand count for random/halftwist")
+        p.add_argument("--length", type=int, default=10, help="word length for random")
+        p.add_argument("--seed", type=int, default=None)
 
-    pa = sub.add_parser("act", help="act on a loop with a braid")
-    _add_word_opts(pa)
-    pa.add_argument("coords")
-    pa.add_argument("--basepoint", action="store_true")
-    pa.add_argument("--matrix", action="store_true", help="also print the effective linear action")
-    pa.set_defaults(func=_cmd_act)
+    if p := command("loop", "loop coordinate operations", _cmd_loop):
+        p.add_argument("op", choices=["make", "canonical", "intersec", "minlength", "intaxis"])
+        p.add_argument("coords", nargs="?", default="", help="coordinate vector")
+        p.add_argument("--punctures", type=int, default=3, help="puncture count for canonical")
+        p.add_argument("--basepoint", action="store_true")
+        p.add_argument("--no-basepoint", action="store_true", help="canonical loop without basepoint")
 
-    pc = sub.add_parser("loopcoords", help="canonical loop coordinates of a braid")
-    _add_word_opts(pc)
-    pc.set_defaults(func=_cmd_loopcoords)
+    if p := command("act", "act on a loop with a braid", _cmd_act):
+        _add_word_opts(p)
+        p.add_argument("coords")
+        p.add_argument("--basepoint", action="store_true")
+        p.add_argument("--matrix", action="store_true", help="also print the effective linear action")
 
-    py = sub.add_parser("cycle", help="limit cycle of the effective linear action")
-    _add_word_opts(py)
-    py.add_argument("--l0", default=None, help="starting loop coordinates")
-    py.add_argument("--basepoint", action="store_true", help="--l0 carries a basepoint")
-    py.add_argument("--no-basepoint", action="store_true", help="start from the plain canonical loop")
-    py.add_argument("--iter", action="store_true", help="per-iterate matrices instead of the product")
-    py.add_argument("--maxit", type=int, default=1000)
-    py.set_defaults(func=_cmd_cycle)
+    if p := command("loopcoords", "canonical loop coordinates of a braid", _cmd_loopcoords):
+        _add_word_opts(p)
 
-    pp = sub.add_parser("charpoly", help="characteristic polynomial of the cycle product")
-    _add_word_opts(pp)
-    pp.add_argument("--no-basepoint", action="store_true")
-    pp.add_argument("--maxit", type=int, default=1000)
-    pp.set_defaults(func=_cmd_charpoly)
+    if p := command("cycle", "limit cycle of the effective linear action", _cmd_cycle):
+        _add_word_opts(p)
+        p.add_argument("--l0", default=None, help="starting loop coordinates")
+        p.add_argument("--basepoint", action="store_true", help="--l0 carries a basepoint")
+        p.add_argument("--no-basepoint", action="store_true", help="start from the plain canonical loop")
+        p.add_argument("--iter", action="store_true", help="per-iterate matrices instead of the product")
+        p.add_argument("--maxit", type=int, default=1000)
 
-    pe = sub.add_parser("entropy", help="iterative topological entropy estimate")
-    _add_word_opts(pe)
-    pe.add_argument("--tol", type=float, default=1e-6)
-    pe.add_argument("--maxit", type=int, default=1000)
-    pe.set_defaults(func=_cmd_entropy)
+    if p := command("charpoly", "characteristic polynomial of the cycle product", _cmd_charpoly):
+        _add_word_opts(p)
+        p.add_argument("--no-basepoint", action="store_true")
+        p.add_argument("--maxit", type=int, default=1000)
 
-    px = sub.add_parser("complexity", help="one-step geometric complexity")
-    _add_word_opts(px)
-    px.set_defaults(func=_cmd_complexity)
+    if p := command("entropy", "iterative topological entropy estimate", _cmd_entropy):
+        _add_word_opts(p)
+        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--maxit", type=int, default=1000)
 
-    pu = sub.add_parser("burau", help="reduced Burau matrix")
-    _add_word_opts(pu)
-    pu.add_argument("--at", default=None, help="evaluate the entries at this value of t")
-    pu.add_argument("--symbolic", action="store_true")
-    pu.set_defaults(func=_cmd_burau)
+    if p := command("complexity", "one-step geometric complexity", _cmd_complexity):
+        _add_word_opts(p)
 
-    pal = sub.add_parser("alexander", help="Alexander-Conway polynomial of the closure")
-    _add_word_opts(pal)
-    pal.add_argument("--centered", action="store_true")
-    pal.set_defaults(func=_cmd_alexander)
+    if p := command("burau", "reduced Burau matrix", _cmd_burau):
+        _add_word_opts(p)
+        p.add_argument("--at", default=None, help="evaluate the entries at this value of t")
+        p.add_argument("--symbolic", action="store_true")
 
-    pf = sub.add_parser("fromdata", help="braid from a trajectory file (CSV or JSON)")
-    pf.add_argument("file")
-    pf.add_argument("--angle", type=float, default=0.0)
-    pf.add_argument("--closure", choices=["default", "mindist", "none"], default="none")
-    pf.add_argument("--databraid", action="store_true", help="include crossing times")
-    pf.set_defaults(func=_cmd_fromdata)
+    if p := command("alexander", "Alexander-Conway polynomial of the closure", _cmd_alexander):
+        _add_word_opts(p)
+        p.add_argument("--centered", action="store_true")
 
-    pt = sub.add_parser("ftbe", help="finite-time braiding exponent of a trajectory file")
-    pt.add_argument("file")
-    pt.add_argument("--angle", type=float, default=0.0)
-    pt.add_argument("--closure", choices=["default", "mindist", "none"], default="none")
-    pt.add_argument("--T", type=float, default=None)
-    pt.add_argument("--norm", choices=["intaxis", "minlength"], default="intaxis")
-    pt.set_defaults(func=_cmd_ftbe)
+    if p := command("fromdata", "braid from a trajectory file (CSV or JSON)", _cmd_fromdata):
+        p.add_argument("file")
+        p.add_argument("--angle", type=float, default=0.0)
+        p.add_argument("--closure", choices=["default", "mindist", "none"], default="none")
+        p.add_argument("--databraid", action="store_true", help="include crossing times")
 
-    pr = sub.add_parser("render", help="render a braid or loop to SVG")
-    pr.add_argument("kind", choices=["braid", "loop"])
-    _add_word_opts(pr)  # a loop's coordinates go in the word argument
-    pr.add_argument("--basepoint", action="store_true")
-    pr.add_argument("--out", required=True, help="output SVG path")
-    pr.add_argument("--direction", choices=["bt", "tb", "lr", "rl"], default=None)
-    pr.add_argument("--width", type=int, default=480)
-    pr.add_argument("--height", type=int, default=360)
-    pr.set_defaults(func=_cmd_render)
+    if p := command("ftbe", "finite-time braiding exponent of a trajectory file", _cmd_ftbe):
+        p.add_argument("file")
+        p.add_argument("--angle", type=float, default=0.0)
+        p.add_argument("--closure", choices=["default", "mindist", "none"], default="none")
+        p.add_argument("--T", type=float, default=None)
+        p.add_argument("--norm", choices=["intaxis", "minlength"], default="intaxis")
 
-    pg = sub.add_parser("prop", help="get or set a global property")
-    pg.add_argument("op", choices=["get", "set"])
-    pg.add_argument("name", choices=sorted(PROP_KEYS))
-    pg.add_argument("value", nargs="?", default=None)
-    pg.set_defaults(func=_cmd_prop)
+    if p := command("render", "render a braid or loop to SVG", _cmd_render):
+        p.add_argument("kind", choices=["braid", "loop"])
+        _add_word_opts(p)  # a loop's coordinates go in the word argument
+        p.add_argument("--basepoint", action="store_true")
+        p.add_argument("--out", required=True, help="output SVG path")
+        p.add_argument("--direction", choices=["bt", "tb", "lr", "rl"], default=None)
+        p.add_argument("--width", type=int, default=480)
+        p.add_argument("--height", type=int, default=360)
+
+    if p := command("prop", "get or set a global property", _cmd_prop):
+        p.add_argument("op", choices=["get", "set"])
+        p.add_argument("name", choices=sorted(PROP_KEYS))
+        p.add_argument("value", nargs="?", default=None)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:

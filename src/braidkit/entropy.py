@@ -18,12 +18,12 @@ however fast the braid grows loops.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 
 from .action import _apply_word, _word_order, act, loopcoords
 from .braids import _as_braid, power
+from .config import Record
 from .loops import Loop, _intaxis_from_ab, canonical_loop, intaxis, minlength
 
 NONCONVERGENCE_WARNING = (
@@ -41,8 +41,7 @@ _BITS = 64
 _LN2 = math.log(2)
 
 
-@dataclasses.dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(Record):
     """An entropy estimate and why the iteration stopped: ``"converged"``
     or ``"budget"`` (``maxit`` iterations without settling)."""
 

@@ -15,10 +15,10 @@ coefficients (floats, Fractions) take the schoolbook loop at every length.
 """
 from __future__ import annotations
 
-import dataclasses
 import numbers
 import operator
 
+from .config import Record
 from .linalg import _pack, _slot_bits, _unpack
 
 # Products whose shorter factor has at least this many terms go through
@@ -26,8 +26,7 @@ from .linalg import _pack, _slot_bits, _unpack
 _KRONECKER_MIN_TERMS = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Record):
     lowest: int = 0
     coeffs: tuple = ()
 
@@ -204,13 +203,14 @@ class LaurentPoly:
             raise ValueError("division leaves a remainder")
         q = [0] * qlen
         lead = den[-1]
+        terms = [(j, d) for j, d in enumerate(den) if d]  # 1 - t**n costs two terms, not n + 1
         for k in range(qlen - 1, -1, -1):
             c = num[k + len(den) - 1]
             if c % lead != 0:
                 raise ValueError("division leaves a remainder")
             q[k] = c // lead
             if q[k]:
-                for j, d in enumerate(den):
+                for j, d in terms:
                     num[k + j] -= q[k] * d
         if any(num):
             raise ValueError("division leaves a remainder")

@@ -50,7 +50,12 @@ def _pack(coeffs, K: int) -> int:
 def _unpack(E: int, K: int):
     """Inverse of :func:`_pack`: ``(z, coeffs)``, where the ``z`` zero low
     slots of ``E`` are stripped and ``coeffs`` starts at the first nonzero
-    one and ends at the last."""
+    one and ends at the last.
+
+    Raises ``OverflowError`` on a value outside the codec's range, one
+    whose balanced base-``2**K`` digits include ``-2**(K-1)``: its slot
+    count, read from the bit length, is one short (the bias overflows it)
+    or one long (a decoded digit is ``-2**(K-1)``)."""
     if not E:
         return 0, ()
     z = ((E & -E).bit_length() - 1) // K  # a zero slot is K zero bits
@@ -58,10 +63,14 @@ def _unpack(E: int, K: int):
     slots = E.bit_length() // K + 1
     width = K // 8
     half = 1 << (K - 1)
-    data = (E + _bias(slots, K)).to_bytes(slots * width, "little")
-    read = int.from_bytes
-    coeffs = [read(data[k : k + width], "little") - half for k in range(0, len(data), width)]
-    return z, tuple(coeffs)
+    biased = E + _bias(slots, K)
+    if biased.bit_length() <= slots * K:
+        data = biased.to_bytes(slots * width, "little")
+        read = int.from_bytes
+        coeffs = [read(data[k : k + width], "little") - half for k in range(0, len(data), width)]
+        if -half not in coeffs:
+            return z, tuple(coeffs)
+    raise OverflowError(f"a balanced {K}-bit digit is -2**{K - 1}, outside the slot codec's range")
 
 
 def mat_mul(A, B):
@@ -213,8 +222,8 @@ def _eliminate(M, k, P, bound, K):
     ``Q P - N`` is below ``2**(K-1)`` in size and its value at ``2**K`` is a
     multiple of ``2**m``, so its ``d + 1`` lowest coefficients vanish, and
     as ``N`` is a multiple of ``P`` (Sylvester), ``Q`` is the quotient.  A
-    residue with a digit ``-2**(K-1)`` fails this test, also where the
-    codec cannot decode it.
+    residue with a digit ``-2**(K-1)``, which :func:`_unpack` refuses with
+    ``OverflowError``, fails too.
     """
     lp, pc = P
     p1 = sum(map(abs, pc))
@@ -329,9 +338,11 @@ def _shifted_radius(A):
     """``(r, shift)`` with ``r * 2**shift`` the largest eigenvalue modulus of
     ``A``.  Integer entries past 500 bits are shifted right first (eigenvalues
     scale exactly), so any exact integer matrix is fine and ``r`` keeps double
-    precision.  Other numbers go to numpy unshifted, as complex numbers when
-    one entry is complex and as floats otherwise (numpy ints too, which have
-    no ``bit_length``)."""
+    precision.  Other rationals (Fractions, numpy ints) take the same path as
+    ``L A``, ``L`` their common denominator, whose ``2**-bits(L)`` joins the
+    shift, so no entry has to fit a float.  Other numbers go to numpy
+    unshifted, as complex numbers when one entry is complex and as floats
+    otherwise."""
     import numpy as np
 
     A = getattr(A, "entries", A)
@@ -342,6 +353,11 @@ def _shifted_radius(A):
             return 0.0, 0
         shift = max(0, maxabs.bit_length() - 500)
         M = np.array([[float(x >> shift) for x in row] for row in A])
+    elif all(isinstance(x, numbers.Rational) for x in flat):
+        L = math.lcm(*(int(x.denominator) for x in flat))
+        r, shift = _shifted_radius([[int(x.numerator) * (L // int(x.denominator)) for x in row] for row in A])
+        bits = L.bit_length()
+        return r * ((1 << bits) / L), shift - bits
     elif all(isinstance(x, numbers.Number) for x in flat):
         shift = 0
         M = np.array(A, dtype=complex if any(not isinstance(x, numbers.Real) for x in flat) else float)
@@ -352,15 +368,18 @@ def _shifted_radius(A):
 
 def spectral_radius(A) -> float:
     """Largest eigenvalue modulus of a numeric matrix (raw rows or any
-    matrix with ``.entries``): exact ints at any size, or floats, complex
-    numbers and Fractions, such as an evaluated ``BurauMatrix``."""
+    matrix with ``.entries``): ints and Fractions at any size, such as an
+    evaluated ``BurauMatrix``, or floats and complex numbers.  A radius
+    that overflows a float, or underflows it to 0.0, raises
+    ``OverflowError``; :func:`log_spectral_radius` takes any size."""
     r, shift = _shifted_radius(A)
     try:
-        return math.ldexp(r, shift)
+        radius = math.ldexp(r, shift)
+        if radius or not r:  # a radius that underflows to 0.0 raises too
+            return radius
     except OverflowError:
-        raise OverflowError(
-            f"spectral radius {r:g} * 2**{shift} overflows a float; use log_spectral_radius"
-        ) from None
+        pass
+    raise OverflowError(f"spectral radius {r:g} * 2**{shift} is outside a float's range; use log_spectral_radius")
 
 
 def log_spectral_radius(A) -> float:

@@ -16,12 +16,12 @@ in ``totaln``.
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
+from .config import Record
 
-@dataclasses.dataclass(frozen=True)
-class Loop:
+
+class Loop(Record):
     """A multiloop in coordinate form.
 
     ``a`` and ``b`` have equal length ``m >= 1``; the underlying disk has
@@ -62,8 +62,7 @@ class Loop:
         return {"coords": list(self.coords), "basepoint": self.basepoint}
 
 
-@dataclasses.dataclass(frozen=True)
-class IntersectionNumbers:
+class IntersectionNumbers(Record):
     """Minimal crossing counts with the standard vertical reference lines.
 
     ``mu`` has ``2m`` entries: ``mu[2i-2]``/``mu[2i-1]`` (1-based ``mu_{2i-1}``,

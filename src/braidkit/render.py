@@ -12,18 +12,15 @@ those counts the picture is a best-effort visual.
 """
 from __future__ import annotations
 
-import dataclasses
-
 from .braids import AnnularBraid, _as_braid
-from .config import properties
+from .config import Record, properties
 from .loops import Loop, intersec
 
 
 _MARGIN = 30  # px of page around the drawing on every side
 
 
-@dataclasses.dataclass
-class RenderSpec:
+class RenderSpec(Record, frozen=False):
     direction: str | None = None     # bt | tb | lr | rl (None: global default)
     over_under: bool | None = None   # None: global default
     width: int = 480                 # px, more than 2 * _MARGIN

@@ -25,7 +25,6 @@ crossings sharing a particle happen at the same instant.  Otherwise
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -34,7 +33,7 @@ import numpy as np
 
 from .action import act
 from .braids import Braid, _cancel, lexeq, mul
-from .config import properties
+from .config import Record, properties
 from .loops import canonical_loop, intaxis, minlength
 
 
@@ -46,8 +45,7 @@ class UndersampledDataError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class TrajectorySet:
+class TrajectorySet(Record):
     """Sampled tracks: ``times`` of shape (T,), ``positions`` of (T, P, 2)."""
 
     times: np.ndarray
@@ -84,15 +82,13 @@ class TrajectorySet:
         }
 
 
-@dataclasses.dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     t: float
     pos: int  # 1-based projected position of the left strand
     sign: int
 
 
-@dataclasses.dataclass(frozen=True)
-class DataBraid:
+class DataBraid(Record):
     """A braid word together with the sorted crossing times that produced it."""
 
     braid: Braid

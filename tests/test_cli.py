@@ -1,10 +1,11 @@
 import json
+import os
 import re
 
 import pytest
 
 import braidkit as bk
-from braidkit.cli import main
+from braidkit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -274,3 +275,53 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["braid"])
     assert exc.value.code == 2
+
+
+HELP = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_help.txt")
+
+
+def _help_sections():
+    """``{argv: text}`` from ``cli_help.txt``: the help texts of the full
+    parser, built with every command's arguments, at 80 columns."""
+    with open(HELP, encoding="utf-8") as fh:
+        chunks = fh.read().split("==== braidkit ")[1:]
+    return dict(chunk.split("\n", 1) for chunk in chunks)
+
+
+@pytest.mark.parametrize("argv", list(_help_sections()))
+def test_help_texts_are_unchanged(argv, capsys, monkeypatch):
+    # main builds the arguments of the named command only; its help, and the
+    # list of commands, read as when every subparser had its arguments
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _help_sections()[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--json"], ["nope"], ["braid"], ["braid", "nope"], ["entropy", "1 2", "--tol", "x"],
+    ["entropy", "--bogus"], ["render", "braid", "1 2"], ["prop", "get"], ["ftbe"],
+    ["--json", "--", "entropy", "--maxit"], ["entropy", "1 2", "extra"], ["-x"],
+    ["-h", "entropy"], ["--json", "--help", "braid", "make"], ["--json", "cycle", "-h"],
+])
+def test_usage_errors_and_help_match_the_full_parser(argv, capsys, monkeypatch):
+    # a help flag before the command prints the list of every command
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == full.value.code == (0 if {"-h", "--help"} & set(argv) else 2)
+    assert capsys.readouterr() == expected
+
+
+def test_one_command_parser_adds_only_that_command_arguments():
+    def subparsers(ap):
+        return next(a for a in ap._actions if a.dest == "cmd").choices
+
+    full, one = subparsers(build_parser()), subparsers(build_parser("entropy"))
+    assert list(one) == list(full)
+    assert len(one["entropy"]._actions) == len(full["entropy"]._actions) > 1
+    assert all(len(p._actions) == 1 for name, p in one.items() if name != "entropy")  # -h only

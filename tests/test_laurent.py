@@ -220,3 +220,89 @@ def test_non_int_coefficients_multiply_by_schoolbook_at_every_length(one, n):
         assert repr(got) == repr(_mul_schoolbook(a, b))
         assert all(type(c) is type(one) for c in got.coeffs)
     assert repr(p**2) == repr(_mul_schoolbook(p, p))
+
+
+def _exact_div_reference(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """The schoolbook exact division that walks every coefficient of the
+    divisor for each quotient coefficient, O(d n): the reference for
+    ``exact_div``, which walks only the divisor's nonzero terms."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return LaurentPoly()
+    num, den = list(p.coeffs), list(q.coeffs)
+    qlen = len(num) - len(den) + 1
+    if qlen <= 0:
+        raise ValueError("division leaves a remainder")
+    out = [0] * qlen
+    for k in range(qlen - 1, -1, -1):
+        c = num[k + len(den) - 1]
+        if c % den[-1] != 0:
+            raise ValueError("division leaves a remainder")
+        out[k] = c // den[-1]
+        for j, d in enumerate(den):
+            num[k + j] -= out[k] * d
+    if any(num):
+        raise ValueError("division leaves a remainder")
+    return LaurentPoly(p.lowest - q.lowest, tuple(out))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+# divisors dense, sparse (1 - t**n and a few far-apart terms) or monomials
+divisors = st.one_of(
+    polys,
+    st.integers(1, 40).map(lambda n: LaurentPoly(0, (1,) + (0,) * (n - 1) + (-1,))),
+    st.builds(
+        lambda lowest, gaps, cs: LaurentPoly(lowest, tuple(x for g, c in zip(gaps, cs) for x in (0,) * g + (c,))),
+        st.integers(-5, 5), st.lists(st.integers(0, 12), min_size=1, max_size=5),
+        st.lists(st.integers(-3, 3).filter(bool), min_size=5, max_size=5),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(LaurentPoly, st.integers(-6, 6), st.lists(st.integers(-50, 50), max_size=40).map(tuple)),
+       divisors, polys)
+def test_exact_div_matches_the_schoolbook_reference(p, q, r):
+    # exact products divide back; adding a remainder r that q does not
+    # divide must raise in both
+    for num in (p * q, p * q + r):
+        assert _outcome(num.exact_div, q) == _outcome(_exact_div_reference, num, q)
+    if not q.is_zero():
+        assert (p * q).exact_div(q) == p
+
+
+def test_exact_div_by_one_minus_t_power():
+    t = LaurentPoly.var()
+    for n in (1, 2, 7, 30):
+        d = 1 - t**n
+        p = LaurentPoly(-3, tuple(range(1, 50)))
+        assert (p * d).exact_div(d) == p
+        with pytest.raises(ValueError, match="remainder"):
+            (p * d + 1).exact_div(d)
+
+
+@pytest.mark.parametrize("E, K", [(-128, 8), (32640, 8), (-128 << 16, 8), (-(1 << 15), 16)])
+def test_unpack_refuses_values_outside_the_codec_range(E, K):
+    # -128 was read as (0, (-128, 0)), a trailing zero slot; 32640 has the
+    # balanced digits (-128, -128, 1) and overflowed the bias
+    with pytest.raises(OverflowError, match=r"outside the slot codec's range"):
+        _unpack(E, K)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda b: st.tuples(
+    st.just(8 * b), st.lists(_slot_values(8 * b), max_size=20), st.lists(_slot_values(8 * b), max_size=20))))
+def test_unpack_refuses_any_value_with_a_digit_at_the_slot_floor(kcc):
+    # balanced digits are unique, so a digit -2**(K-1) anywhere puts the
+    # value outside the range of the codec
+    K, low, high = kcc
+    digits = low + [-(1 << (K - 1))] + high
+    with pytest.raises(OverflowError):
+        _unpack(sum(c << (K * j) for j, c in enumerate(digits)), K)

@@ -167,6 +167,27 @@ def test_spectral_radius_of_symbolic_matrix_names_the_fix():
             fn(B)
 
 
+
+def test_spectral_radius_of_fractions_outside_the_float_range():
+    # Fraction(10**400, 3) has no float and Fraction(1, 10**400) rounds to
+    # 0.0; the common denominator and a power-of-two shift keep both exact
+    big, tiny = [[Fraction(10**400, 3)]], [[Fraction(1, 10**400)]]
+    assert log_spectral_radius(big) == pytest.approx(400 * math.log(10) - math.log(3), rel=1e-14)
+    assert log_spectral_radius(tiny) == pytest.approx(-400 * math.log(10), rel=1e-14)
+    for M in (big, tiny):
+        with pytest.raises(OverflowError, match="log_spectral_radius"):
+            spectral_radius(M)
+
+
+def test_spectral_radius_of_fractions_in_range():
+    M = [[Fraction(1, 3), 1], [2, Fraction(-5, 7)]]
+    expected = max(abs(np.linalg.eigvals(np.array(M, dtype=float))))
+    assert spectral_radius(M) == pytest.approx(expected, rel=1e-14)
+    scaled = [[x * Fraction(1, 2**3000) for x in row] for row in M]
+    assert log_spectral_radius(scaled) == pytest.approx(math.log(expected) - 3000 * math.log(2), rel=1e-14)
+    assert spectral_radius([[Fraction(0)]]) == 0.0 and log_spectral_radius([[Fraction(0)]]) == -math.inf
+
+
 # ------------------------------------------- determinants over Z[t, 1/t]
 
 

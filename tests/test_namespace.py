@@ -82,7 +82,7 @@ import io, json, sys, contextlib
 from braidkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('braidkit', 'numpy', 'scipy', 'fractions', 'decimal', 'logging'))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in ('braidkit', 'numpy', 'scipy', 'fractions', 'decimal', 'logging', 'dataclasses', 'inspect'))]))
 """
 
 
@@ -136,3 +136,24 @@ def test_cli_ftbe_mindist_loads_no_scipy(tmp_path):
     loaded = _loaded_by("ftbe", str(path), "--closure", "mindist")
     assert "braidkit.trajectories" in loaded and "numpy" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_cli_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # the records are on braidkit's own base; numpy imports inspect itself,
+    # so the numpy commands are held to dataclasses only
+    path = tmp_path / "tracks.csv"
+    braidkit.save_trajectories_csv(braidkit.trajectories_from_braid(braidkit.make_braid([1, -2, 1, 2])), path)
+    for argv in (
+        ("entropy", "1 2 -3"), ("cycle", "1 -2"), ("alexander", "1 2 -3"), ("burau", "1 -2", "--symbolic"),
+        ("render", "braid", "1 2 -1", "--out", str(tmp_path / "b.svg")), ("ftbe", str(path)),
+    ):
+        loaded = _loaded_by(*argv)
+        assert "dataclasses" not in loaded, argv
+        assert "inspect" not in loaded or "numpy" in loaded, argv
+    assert "numpy" not in _loaded_by("render", "braid", "1 2 -1", "--out", str(tmp_path / "b.svg"))
+
+
+def test_no_module_imports_dataclasses():
+    modules = ", ".join(f"braidkit.{m}" for m in (*braidkit._EXPORTS, "cli"))
+    code = f"import sys, {modules}\nprint('dataclasses' in sys.modules)"
+    assert _fresh(code).strip() == "False"
