@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from . import braids
 from .config import Record, properties
-from .linalg import _bias, _pack, _slot_bits, _unpack, mat_mul, mat_vec
 from .loops import Loop, canonical_loop
 
 # A chunk of _CHUNK generators adds at most 3 * _CHUNK bits to a row entry.
@@ -56,9 +55,13 @@ class LinearAction(Record):
         return len(self.entries)
 
     def apply(self, vec):
+        from .linalg import mat_vec
+
         return mat_vec(self.entries, vec)
 
     def __mul__(self, other: "LinearAction") -> "LinearAction":
+        from .linalg import mat_mul
+
         return LinearAction(mat_mul(self.entries, other.entries))
 
     def to_json(self) -> dict:
@@ -193,6 +196,8 @@ def _fits(forms, K, d, G):
     """Whether every row entry ``c`` of ``forms`` (``d`` slots of ``K`` bits)
     has ``-2**(K-1-G) <= c < 2**(K-1-G)``: with ``2**(K-1-G)`` added to each
     slot, exactly then are the top ``G`` bits of every slot clear."""
+    from .linalg import _bias
+
     unit = _bias(d, K) >> (K - 1)
     off, mask = unit << (K - 1 - G), unit * ((1 << K) - (1 << (K - G)))
     return not any((E + off) & mask for E in forms)
@@ -200,6 +205,8 @@ def _fits(forms, K, d, G):
 
 def _act_with_matrix(word, coords):
     """Image coordinates and matrix rows of ``word`` at ``coords``."""
+    from .linalg import _pack, _slot_bits, _unpack
+
     d = len(coords)
 
     def decode(E, K):

@@ -389,25 +389,113 @@ def _triple_rewrites(x, y, z, ring):
 
 
 def _compact_word(word, ring):
-    def cancelled(w):
-        return [w[m] for m in _cancel(w, ring)]
+    """The cancelled word with every shortening rewrite kept, scanning the
+    windows as :func:`compact` describes, at near-linear cost.
 
-    word = cancelled(word)
+    The survivors of :func:`_cancel` form a linked list of nodes numbered in
+    word order, and each node records its blocker, the nearest earlier node
+    it does not commute with, and the later nodes it blocks.  A rewrite keeps
+    the window's index set ``{|x|, |y|}``, so until its first deletion the
+    cancellation pass over the rewritten word meets new blockers only at the
+    window's first letter (its blocker is the earlier word's) and at the
+    nodes the window blocked (theirs is the last new letter they do not
+    commute with); the second and third new letters sit on letters of the
+    other index.  A try reads those letters alone.  A kept rewrite re-runs
+    the pass in word order, by a heap, on the nodes whose blocker was
+    rewritten or deleted, which is ``_cancel`` of the whole rewritten word.
+    """
+    from heapq import heapify, heappop, heappush
+
+    word = [word[m] for m in _cancel(word, ring)]
+    length = S = len(word)  # node S is the sentinel on both ends of the list
+    val = word + [0]
+    pos = [abs(w) if abs(w) < ring else math.nan for w in val]
+    pos[S] = math.nan  # commutes with nothing, so every scan stops there
+    prev, nxt = [S, *range(S)], [*range(1, S + 1), 0]
+    alive = [True] * (S + 1)
+
+    def scan(p, x):
+        """The nearest node at or before ``p`` not commuting with position ``x``."""
+        while abs(pos[p] - x) > 1:
+            p = prev[p]
+        return p
+
+    blocker = [scan(prev[q], pos[q]) for q in range(S)]
+    blocks = [[] for _ in range(S + 1)]
+    for q, p in enumerate(blocker):
+        blocks[p].append(q)
+
+    def attach(q, p):
+        blocks[blocker[q]].remove(q)
+        blocker[q] = p
+        blocks[p].append(q)
+
+    def rewrite(c, rep):
+        """Write ``rep`` over the window at ``c`` and cancel; the number of
+        nodes deleted before ``c``, and in all."""
+        todo = [c, nxt[c], nxt[nxt[c]]]
+        for node, w in zip(tuple(todo), rep):
+            val[node], pos[node] = w, abs(w)
+            todo += blocks[node]
+        heapify(todo)
+        last, before, dropped = S, 0, 0
+        while todo:
+            q = heappop(todo)
+            if q == last or not alive[q]:
+                continue
+            last, p = q, scan(prev[q], pos[q])
+            if val[p] != -val[q]:
+                attach(q, p)
+                continue
+            for x in (p, q):
+                alive[x] = False
+                blocks[blocker[x]].remove(x)
+                nxt[prev[x]], prev[nxt[x]] = nxt[x], prev[x]
+            before, dropped = before + (p < c), dropped + 2
+            # the nodes the pair blocked scan further back; each lies past
+            # q, since a node between p and q commutes with q = -p
+            for r in blocks[p] + blocks[q]:
+                heappush(todo, r)
+        return before, dropped
+
+    def shortens(c, c1, c2, rep):
+        r0, r1, r2 = rep
+        if val[scan(prev[c], abs(r0))] == -r0:
+            return True
+        return any((r1 if abs(pos[q] - pos[c1]) > 1 else r2) == -val[q]
+                   for node in (c, c1, c2) for q in blocks[node] if q > c2)
+
     improved = True
     while improved:
         improved = False
-        k = 0
-        while k < len(word) - 2:
-            for rep in _triple_rewrites(word[k], word[k + 1], word[k + 2], ring):
-                cand = cancelled(word[:k] + list(rep) + word[k + 3 :])
-                if len(cand) < len(word):
-                    # windows left of k - 2 do not overlap the rewrite; a
-                    # cancellation can still reach them, so full scans repeat
-                    word, improved, k = cand, True, max(k - 2, 0)
-                    break
+        k, c = 0, nxt[S]
+        while k < length - 2:
+            c1 = nxt[c]
+            c2 = nxt[c1]
+            # every rewrite has z = x or z = -x, and there is at most one
+            rep = pos[c2] == pos[c] and _triple_rewrites(val[c], val[c1], val[c2], ring)
+            if not (rep and shortens(c, c1, c2, rep[0])):
+                k, c = k + 1, c1
+                continue
+            a = prev[c]
+            before, dropped = rewrite(c, rep[0])
+            length -= dropped
+            improved = True
+            # resume at rank k - 2; the last node left before the window
+            # has rank k - 1 - before
+            while not alive[a]:
+                a = prev[a]
+            if k < 2:
+                k, c = 0, nxt[S]
             else:
-                k += 1
-    return word
+                k, c = k - 2, a if before else prev[a]
+                for _ in range(before - 1):
+                    c = nxt[c]
+    out, c = [], nxt[S]
+    while c != S:
+        out.append(val[c])
+        c = nxt[c]
+    return out
 
 
 def compact(b):
@@ -416,7 +504,8 @@ def compact(b):
     Deletes cancelling pairs ``w, -w`` separated only by generators that
     commute with them, in one stack pass, then tries the local braid-relation
     rewrites of each window of three generators, keeping one only when it
-    and a new cancellation pass give a shorter word.  After a kept rewrite at
+    and a new cancellation pass give a shorter word; a try reads only the
+    letters the rewrite can unblock, so the call takes near-linear time.  After a kept rewrite at
     window ``k`` the scan resumes at window ``k - 2``; full scans repeat
     until one keeps nothing.  The result equals the input braid and no single
     rewrite shortens it, but it is not guaranteed minimal.  For annular

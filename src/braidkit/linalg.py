@@ -22,6 +22,7 @@ whole polynomial adds or shifts in one big-int operation.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -33,8 +34,11 @@ def _slot_bits(bits: int) -> int:
     return (bits + 2 + 7) // 8 * 8
 
 
+@functools.lru_cache(maxsize=512)
 def _bias(slots: int, K: int) -> int:
-    """``2**(K-1)`` in each of ``slots`` slots of ``K`` bits."""
+    """``2**(K-1)`` in each of ``slots`` slots of ``K`` bits, kept for the
+    512 latest ``(slots, K)``: an Alexander polynomial packs and unpacks a
+    few hundred of them, each many times."""
     return int.from_bytes((bytes(K // 8 - 1) + b"\x80") * slots, "little")
 
 
@@ -340,9 +344,11 @@ def _shifted_radius(A):
     scale exactly), so any exact integer matrix is fine and ``r`` keeps double
     precision.  Other rationals (Fractions, numpy ints) take the same path as
     ``L A``, ``L`` their common denominator, whose ``2**-bits(L)`` joins the
-    shift, so no entry has to fit a float.  Other numbers go to numpy
-    unshifted, as complex numbers when one entry is complex and as floats
-    otherwise."""
+    shift, so no entry has to fit a float.  Other numbers go to numpy as
+    complex numbers when one entry is complex and as floats otherwise,
+    scaled exactly by ``2**-e``, ``e`` the binary exponent of the largest
+    real or imaginary part, which joins the shift; a NaN or infinite entry
+    raises ``ValueError``."""
     import numpy as np
 
     A = getattr(A, "entries", A)
@@ -359,8 +365,15 @@ def _shifted_radius(A):
         bits = L.bit_length()
         return r * ((1 << bits) / L), shift - bits
     elif all(isinstance(x, numbers.Number) for x in flat):
-        shift = 0
         M = np.array(A, dtype=complex if any(not isinstance(x, numbers.Real) for x in flat) else float)
+        parts = M.view(float)  # a complex entry is two floats
+        if not np.isfinite(parts).all():
+            raise ValueError("the spectral radius needs finite entries")
+        top = float(np.max(np.abs(parts), initial=0.0))
+        if not top:
+            return 0.0, 0
+        shift = math.frexp(top)[1]
+        M = np.ldexp(parts, -shift).view(M.dtype)
     else:
         raise TypeError("the spectral radius needs numeric entries; evaluate a symbolic matrix at a value of t first")
     return float(np.max(np.abs(np.linalg.eigvals(M)))), shift

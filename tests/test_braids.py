@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import braidkit as bk
 from braidkit.action import _canonical_image
-from braidkit.braids import _cancel
+from braidkit.braids import _cancel, _compact_word, _triple_rewrites
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -754,3 +754,150 @@ def test_istrivial_rejects_nonzero_writhe_before_any_key():
         t[rng.randint(0, len(t)) : 0] = [k, -k]
         assert bk.istrivial(bk.make_braid(t, n))
         assert bk.istrivial(bk.make_annular_braid(w + [k, -k] + conj, n - 1))
+
+
+# ------------------------------------- compact vs re-cancelling the whole word
+
+
+def _compact_word_recancel(word, ring):
+    """The former ``_compact_word``: every try copies the word and cancels
+    all of it."""
+
+    def cancelled(w):
+        return [w[m] for m in _cancel(w, ring)]
+
+    word = cancelled(word)
+    improved = True
+    while improved:
+        improved = False
+        k = 0
+        while k < len(word) - 2:
+            for rep in _triple_rewrites(word[k], word[k + 1], word[k + 2], ring):
+                cand = cancelled(word[:k] + list(rep) + word[k + 3 :])
+                if len(cand) < len(word):
+                    word, improved, k = cand, True, max(k - 2, 0)
+                    break
+            else:
+                k += 1
+    return word
+
+
+def _drawn_word(rng, top, L, span):
+    """``L`` letters up to ``top`` in size; a ``span`` below ``top - 1``
+    draws them from ``span + 1`` adjacent indices, where rewrites and
+    cascades of cancellations are frequent."""
+    lo = rng.randint(1, top - span) if span < top - 1 else 1
+    hi = min(top, lo + span)
+    return [rng.choice([1, -1]) * rng.randint(lo, hi) for _ in range(L)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 12), L=st.integers(0, 2000) | st.integers(1500, 2000), seed=st.integers(0, 2**32 - 1),
+       span=st.integers(1, 11), annular=st.booleans())
+def test_compact_matches_the_whole_word_recancelling_reference(n, L, seed, span, annular):
+    # annular words on n - 1 punctures use the ring generator n - 1
+    ring = n - 1 if annular and n > 2 else n
+    word = _drawn_word(random.Random(seed), n - 1, L, span)
+    assert _compact_word(list(word), ring) == _compact_word_recancel(word, ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_annular_words, annular=st.booleans())
+def test_compact_matches_the_reference_on_short_words(case, annular):
+    nann, word = case
+    ring = nann if annular else nann + 1
+    assert _compact_word(list(word), ring) == _compact_word_recancel(word, ring)
+
+
+def test_compact_cascades_across_the_rewritten_window():
+    # 2 1 2 becomes 1 2 1, whose last letter cancels the -1 after it; that
+    # frees 2 -2, then 1 -1 left of the window, then the outer -3 and 3
+    word = [-3, 2, 1, 2, -1, -2, -1, 3]
+    assert _compact_word(list(word), 4) == _compact_word_recancel(word, 4) == []
+    ab = bk.make_annular_braid(word, 3)  # 3 is the ring generator
+    assert bk.compact(ab).word == tuple(_compact_word_recancel(word, 3)) == ()
+
+
+# --------------------------------------------------- the free-group oracle
+
+
+def _artin_images(b):
+    """Images of the free generators ``x_1 .. x_n`` under Artin's action of
+    the braid on the free group F_n, freely reduced; ``sigma_i`` sends
+    ``x_i`` to ``x_i x_(i+1) x_i^-1`` and ``x_(i+1)`` to ``x_i``.  The action
+    is faithful (Artin 1925), so two braids are equal exactly when their
+    images are, independently of the loop coordinates ``equals`` reads."""
+    b = b.to_braid() if isinstance(b, bk.AnnularBraid) else b
+    images = [(k,) for k in range(1, b.n + 1)]
+    for g in b.word:
+        i = abs(g)
+        sub = {i: (i, i + 1, -i), i + 1: (i,)} if g > 0 else {i: (i + 1,), i + 1: (-i - 1, i, i + 1)}
+        new = []
+        for image in images:
+            out = []
+            for x in image:
+                piece = sub.get(abs(x), (abs(x),))
+                for y in piece if x > 0 else [-y for y in reversed(piece)]:
+                    if out and out[-1] == -y:
+                        out.pop()
+                    else:
+                        out.append(y)
+            new.append(tuple(out))
+        images = new
+    return b.n, tuple(images)
+
+
+def test_artin_images_separate_the_relations():
+    def same(u, v, n):
+        return _artin_images(bk.make_braid(u, n)) == _artin_images(bk.make_braid(v, n))
+
+    assert same([1, 2, 1], [2, 1, 2], 3) and same([1, 3], [3, 1], 4) and same([2, -2], [], 3)
+    assert not same([1, 2], [2, 1], 3) and not same([1], [-1], 2) and not same([1, 1], [], 2)
+
+
+def test_compact_output_is_the_same_braid_under_the_artin_action():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        word = _drawn_word(rng, n - 1, rng.randint(0, 16), rng.randint(1, n))
+        b = bk.make_braid(word, n) if rng.random() < 0.6 else bk.make_annular_braid(word, n - 1)
+        out = bk.compact(b)
+        assert type(out) is type(b) and len(out.word) <= len(word)
+        assert _artin_images(out) == _artin_images(b)
+
+
+def _same_writhe_and_perm_pairs(rng, count):
+    """Braid pairs on 3-6 strands, annular on 2-5 punctures, that share
+    writhe and permutation: conjugates ``x w x^-1`` against ``w``, words
+    changed by a braid relation, and ``w`` against ``w`` times the pure
+    commutator of ``sigma_i^2`` and ``sigma_(i+1)^2``."""
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(3, 6)
+        make = bk.make_braid if rng.random() < 0.7 else (lambda w, n: bk.make_annular_braid(w, n - 1))
+        w = _drawn_word(rng, n - 1, rng.randint(0, 10), n)
+        x = _drawn_word(rng, n - 1, rng.randint(1, 2), n)
+        i = rng.randint(1, n - 2)
+        at = rng.randint(0, len(w))
+        for u, v in ((x + w + [-g for g in reversed(x)], w),
+                     (w[:at] + [i, i + 1, i] + w[at:], w[:at] + [i + 1, i, i + 1] + w[at:]),
+                     (w + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1], w)):
+            a, b = make(u, n), make(v, n)
+            if bk.writhe(a) == bk.writhe(b) and bk.perm(a) == bk.perm(b):
+                pairs.append((a, b))
+    return pairs
+
+
+def test_equals_hash_and_set_agree_with_the_artin_action():
+    pairs = _same_writhe_and_perm_pairs(random.Random(29), 240)
+    outcomes = set()
+    for a, b in pairs:
+        same = _artin_images(a) == _artin_images(b)
+        outcomes.add(same)
+        assert bk.equals(a, b) is same and (a == b) is same and (b == a) is same
+        if same:
+            assert hash(a) == hash(b)
+    assert outcomes == {True, False}
+    braids = [x for pair in pairs for x in pair]
+    classes = {(type(x), _artin_images(x)) for x in braids}
+    assert len(set(braids)) == len(classes)

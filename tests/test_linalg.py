@@ -188,6 +188,28 @@ def test_spectral_radius_of_fractions_in_range():
     assert spectral_radius([[Fraction(0)]]) == 0.0 and log_spectral_radius([[Fraction(0)]]) == -math.inf
 
 
+def test_spectral_radius_of_floats_past_the_float_range():
+    # every entry is a float, but the radius 2e308 is not: the matrix is
+    # scaled by 2**-1024 and the exponent joins the shift
+    M = [[1e308, 1e308], [1e308, 1e308]]
+    assert log_spectral_radius(M) == pytest.approx(math.log(2) + math.log(1e308), rel=1e-14)
+    assert log_spectral_radius([[1e308j, 0], [0, -1e308]]) == pytest.approx(math.log(1e308), rel=1e-14)
+    for A in (M, [[1e308 + 1e308j, 1e308], [1e308, 1e308]]):
+        with pytest.raises(OverflowError, match="log_spectral_radius"):
+            spectral_radius(A)
+    # subnormal entries keep their exponent as well
+    assert log_spectral_radius([[5e-320, 0.0], [0.0, 1e-320]]) == pytest.approx(math.log(5e-320), rel=1e-3)
+    assert spectral_radius(np.array([[3.0, 0.0], [0.0, -4.0]])) == 4.0
+    assert spectral_radius([[0.0, 0.0], [0.0, 0.0]]) == 0.0 and log_spectral_radius([[0.0]]) == -math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan), complex(math.inf, 0)])
+def test_spectral_radius_rejects_nan_and_infinite_entries(bad):
+    for fn in (spectral_radius, log_spectral_radius):
+        with pytest.raises(ValueError, match="finite entries"):
+            fn([[1.0, bad], [0.5, 2.0]])
+
+
 # ------------------------------------------- determinants over Z[t, 1/t]
 
 

@@ -157,3 +157,19 @@ def test_no_module_imports_dataclasses():
     modules = ", ".join(f"braidkit.{m}" for m in (*braidkit._EXPORTS, "cli"))
     code = f"import sys, {modules}\nprint('dataclasses' in sys.modules)"
     assert _fresh(code).strip() == "False"
+
+
+def test_only_the_matrix_commands_load_linalg(tmp_path):
+    # action imports the slot codec and the matrix products from linalg
+    # where they run, so the commands that never build a matrix do not
+    # load, or compile, linalg
+    path = tmp_path / "tracks.csv"
+    braidkit.save_trajectories_csv(braidkit.trajectories_from_braid(braidkit.make_braid([1, -2, 1, 2])), path)
+    for argv in (
+        ("braid", "compact", "1 2 1 -2 -1"), ("braid", "equals", "1 2 1", "2 1 2"), ("loopcoords", "1 -2"),
+        ("entropy", "1 2 -3"), ("render", "braid", "1 2 -1", "--out", str(tmp_path / "b.svg")),
+        ("fromdata", str(path), "--databraid"), ("ftbe", str(path), "--closure", "mindist"),
+    ):
+        assert "braidkit.linalg" not in _loaded_by(*argv), argv
+    for argv in (("act", "1 -2", "0 -1", "--matrix"), ("cycle", "1 -2"), ("charpoly", "1 -2")):
+        assert "braidkit.linalg" in _loaded_by(*argv), argv
