@@ -430,11 +430,11 @@ def _compact_word(word, ring):
         blocker[q] = p
         blocks[p].append(q)
 
-    def rewrite(c, rep):
-        """Write ``rep`` over the window at ``c`` and cancel; the number of
-        nodes deleted before ``c``, and in all."""
-        todo = [c, nxt[c], nxt[nxt[c]]]
-        for node, w in zip(tuple(todo), rep):
+    def rewrite(window, rep):
+        """Write ``rep`` over the window's nodes and cancel; the number of
+        nodes deleted before the window, and in all."""
+        c, todo = window[0], list(window)
+        for node, w in zip(window, rep):
             val[node], pos[node] = w, abs(w)
             todo += blocks[node]
         heapify(todo)
@@ -458,12 +458,14 @@ def _compact_word(word, ring):
                 heappush(todo, r)
         return before, dropped
 
-    def shortens(c, c1, c2, rep):
+    def shortens(window, rep):
+        """Whether writing ``rep`` over the window deletes a letter."""
+        c, c1, c2 = window
         r0, r1, r2 = rep
         if val[scan(prev[c], abs(r0))] == -r0:
             return True
         return any((r1 if abs(pos[q] - pos[c1]) > 1 else r2) == -val[q]
-                   for node in (c, c1, c2) for q in blocks[node] if q > c2)
+                   for node in window for q in blocks[node] if q > c2)
 
     improved = True
     while improved:
@@ -474,11 +476,11 @@ def _compact_word(word, ring):
             c2 = nxt[c1]
             # every rewrite has z = x or z = -x, and there is at most one
             rep = pos[c2] == pos[c] and _triple_rewrites(val[c], val[c1], val[c2], ring)
-            if not (rep and shortens(c, c1, c2, rep[0])):
+            if not (rep and shortens((c, c1, c2), rep[0])):
                 k, c = k + 1, c1
                 continue
             a = prev[c]
-            before, dropped = rewrite(c, rep[0])
+            before, dropped = rewrite((c, c1, c2), rep[0])
             length -= dropped
             improved = True
             # resume at rank k - 2; the last node left before the window
