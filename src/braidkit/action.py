@@ -3,8 +3,12 @@
 Each generator updates at most two of the ``(a_i, b_i)`` coordinate pairs
 through expressions built from ``max(., 0)`` / ``min(., 0)``.  Once the
 max/min branches are resolved by the actual coordinate values, the update is
-linear.  One kernel, :func:`_apply_word`, runs a whole word with the update
-written once, and every exact path calls it.
+linear.  One kernel, :func:`_update`, runs a whole word, with the update
+written once for positive generators and once for inverses, and every exact
+path calls it.  It trusts its word: the paths take it from a validated
+:class:`~braidkit.braids.Braid` whose strand count :func:`_check_compat` has
+bounded by the loop's, and :func:`_apply_word` checks the range first for a
+word that comes from elsewhere.
 
 For :func:`act_with_matrix` each coordinate is a form, the one int
 ``E = value * 2**S + packed``: ``packed`` holds the coordinate's matrix row,
@@ -84,63 +88,97 @@ class CycleResult(Record):
 
 
 def _apply_word(a, b, word, hi=0):
-    """Apply the signed generators of ``word`` in order, in place.  A
-    coordinate is positive above ``hi`` and negative below ``-hi``: 0 for
-    plain ints, ``H`` for forms.  A max/min branch resolved to 0 skips its
-    add, so no form is copied by ``x + 0``."""
-    m = len(a)
-    last = m + 1
+    """:func:`_update` for a word not yet checked: every generator must be in
+    range for ``len(a) + 2`` punctures, or ``ValueError`` names the first
+    that is not, before any coordinate changes."""
+    last = len(a) + 1
     if min(map(abs, word), default=1) < 1 or max(map(abs, word), default=0) > last:
         k = next(k for k in word if not 1 <= abs(k) <= last)
-        raise ValueError(f"generator index {k} out of range for {m + 2} punctures")
+        raise ValueError(f"generator index {k} out of range for {last + 1} punctures")
+    _update(a, b, word, hi)
+
+
+def _update(a, b, word, hi=0):
+    """Apply the signed generators of ``word`` in order, in place, trusting
+    that each is in range for ``len(a) + 2`` punctures.  A coordinate is
+    positive above ``hi`` and negative below ``-hi``: 0 for plain ints,
+    ``H`` for forms.  A max/min branch resolved to 0 skips its add, so no
+    form is copied by ``x + 0``.  Each generator is written once per sign;
+    an inverse is the positive one conjugated by the reflection that negates
+    the a-coordinates it reads and writes, folded into its signs."""
+    m = len(a)
+    last = m + 1
     lo = -hi
     for k in word:
-        # an inverse is the positive generator conjugated by the reflection
-        # that negates the a-coordinates read and written (folded into the
-        # signs of d and of the a updates for a middle generator)
-        inv = k < 0
-        i = -k if inv else k
-        if i == 1:
-            a0, b0 = a[0], b[0]
-            if inv:
-                a0 = -a0
-            bn = a0 + b0 if b0 > hi else a0
-            an = bn - b0 if bn > hi else -b0
-            a[0], b[0] = -an if inv else an, bn
-        elif i == last:
-            a0, b0 = a[m - 1], b[m - 1]
-            if inv:
-                a0 = -a0
-            bn = a0 + b0 if b0 < lo else a0
-            an = bn - b0 if bn < lo else -b0
-            a[m - 1], b[m - 1] = -an if inv else an, bn
-        else:
-            # with d = a1 - a2 (a-coordinates reflected for an inverse),
-            # t = d + min(b1, 0), c = t - max(b2, 0), u = max(b2, 0) - d:
-            # a1 -= max(b1, 0) + max(t, 0), a2 -= min(b2, 0) + min(u, 0),
+        if 1 < k < last:
+            # with d = a1 - a2, t = d + min(b1, 0), c = t - max(b2, 0),
+            # u = max(b2, 0) - d: a1 -= max(b1, 0) + max(t, 0),
+            # a2 -= min(b2, 0) + min(u, 0),
             # and (b1, b2) <- (b2 + min(c, 0), b1 - min(c, 0))
-            j1, j2 = i - 2, i - 1
+            j1, j2 = k - 2, k - 1
             a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
-            d = a2 - a1 if inv else a1 - a2
+            d = a1 - a2
             t = d + b1 if b1 < lo else d
             if b1 > hi:
-                a1 = a1 + b1 if inv else a1 - b1
+                a1 -= b1
             if t > hi:
-                a1 = a1 + t if inv else a1 - t
+                a1 -= t
             if b2 > hi:
                 c, u = t - b2, b2 - d
                 if u < lo:
-                    a2 = a2 + u if inv else a2 - u
+                    a2 -= u
             else:
                 c = t
                 if b2 < lo:
-                    a2 = a2 + b2 if inv else a2 - b2
+                    a2 -= b2
                 if d > hi:  # u = -d < 0
-                    a2 = a2 - d if inv else a2 + d
+                    a2 += d
             if c < lo:
-                a[j1], a[j2], b[j1], b[j2] = a1, a2, b2 + c, b1 - c
+                b1 -= c
+                b2 += c
+            a[j1], a[j2] = a1, a2
+            b[j1], b[j2] = b2, b1
+        elif -last < k < -1:
+            # the same with a1, a2 negated on the way in and out
+            j1, j2 = -k - 2, -k - 1
+            a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
+            d = a2 - a1
+            t = d + b1 if b1 < lo else d
+            if b1 > hi:
+                a1 += b1
+            if t > hi:
+                a1 += t
+            if b2 > hi:
+                c, u = t - b2, b2 - d
+                if u < lo:
+                    a2 += u
             else:
-                a[j1], a[j2], b[j1], b[j2] = a1, a2, b2, b1
+                c = t
+                if b2 < lo:
+                    a2 += b2
+                if d > hi:
+                    a2 -= d
+            if c < lo:
+                b1 -= c
+                b2 += c
+            a[j1], a[j2] = a1, a2
+            b[j1], b[j2] = b2, b1
+        elif k == 1:
+            a0, b0 = a[0], b[0]
+            bn = a0 + b0 if b0 > hi else a0
+            a[0], b[0] = bn - b0 if bn > hi else -b0, bn
+        elif k == -1:
+            a0, b0 = -a[0], b[0]
+            bn = a0 + b0 if b0 > hi else a0
+            a[0], b[0] = b0 - bn if bn > hi else b0, bn
+        elif k == last:
+            a0, b0 = a[m - 1], b[m - 1]
+            bn = a0 + b0 if b0 < lo else a0
+            a[m - 1], b[m - 1] = bn - b0 if bn < lo else -b0, bn
+        else:
+            a0, b0 = -a[m - 1], b[m - 1]
+            bn = a0 + b0 if b0 < lo else a0
+            a[m - 1], b[m - 1] = b0 - bn if bn < lo else b0, bn
 
 
 def apply_generator(l: Loop, i: int, sign: int = 1) -> Loop:
@@ -175,7 +213,7 @@ def act(b, l):
     b = braids._as_braid(b)
     _check_compat(b.n, l)
     a, bb = list(l.a), list(l.b)
-    _apply_word(a, bb, _word_order(b.word))
+    _update(a, bb, _word_order(b.word))
     return Loop(a=tuple(a), b=tuple(bb), basepoint=l.basepoint)
 
 
@@ -230,7 +268,7 @@ def _act_with_matrix(word, coords):
                 K = max(2 * K, _slot_bits(bits + room))
                 forms = [(v << (K * d)) + _pack(r, K) for v, r in decoded]
         a, bb = forms[: d // 2], forms[d // 2 :]
-        _apply_word(a, bb, chunk, 1 << (K * d - 1))
+        _update(a, bb, chunk, 1 << (K * d - 1))
         forms = a + bb
         bits += grow
     values, rows = zip(*(decode(E, K) for E in forms))
@@ -250,7 +288,7 @@ def _canonical_image(gens, n: int):
     ``gens`` in the order given."""
     l = canonical_loop(n, basepoint=True)
     a, bb = list(l.a), list(l.b)
-    _apply_word(a, bb, gens)
+    _update(a, bb, gens)
     return tuple(a), tuple(bb)
 
 

@@ -43,14 +43,16 @@ def _hash(b):
 
 
 def _letters(b, size: str, extra: int):
-    """Store ``b.word`` as a tuple of ints, converting each letter once; a
-    ``None`` size becomes the least that holds the word (``extra`` plus the
-    largest index, and at least ``1 + extra``)."""
+    """Store ``b.word`` as a tuple of ints, converting each letter once, and
+    return the set of its letters, on which the checks run in fewer passes;
+    a ``None`` size becomes the least that holds the word (``extra`` plus
+    the largest index, and at least ``1 + extra``)."""
     word = tuple(map(int, b.word))
     object.__setattr__(b, "word", word)
+    letters = set(word)
     if getattr(b, size) is None:
-        object.__setattr__(b, size, extra + max(map(abs, word), default=1))
-    return word
+        object.__setattr__(b, size, extra + max(map(abs, letters), default=1))
+    return letters
 
 
 class Braid(Record):
@@ -61,9 +63,9 @@ class Braid(Record):
     n: int | None
 
     def __post_init__(self):
-        word = _letters(self, "n", 1)
-        if word and (0 in word or -min(word) >= self.n or max(word) >= self.n):
-            w = next(w for w in word if w == 0 or abs(w) >= self.n)
+        letters = _letters(self, "n", 1)
+        if letters and (0 in letters or -min(letters) >= self.n or max(letters) >= self.n):
+            w = next(w for w in self.word if w == 0 or abs(w) >= self.n)
             if w == 0:
                 raise ValueError("generator index 0 is not allowed")
             raise ValueError(f"generator {w} needs more than {self.n} strands")
@@ -266,9 +268,9 @@ class AnnularBraid(Record):
     nann: int | None
 
     def __post_init__(self):
-        word = _letters(self, "nann", 0)
-        if word and (0 in word or -min(word) > self.nann or max(word) > self.nann):
-            w = next(w for w in word if w == 0 or abs(w) > self.nann)
+        letters = _letters(self, "nann", 0)
+        if letters and (0 in letters or -min(letters) > self.nann or max(letters) > self.nann):
+            w = next(w for w in self.word if w == 0 or abs(w) > self.nann)
             if w == 0:
                 raise ValueError("generator index 0 is not allowed")
             raise ValueError(f"generator {w} exceeds {self.nann} annular punctures")

@@ -185,7 +185,8 @@ def burau(b, t=None):
 
     With ``t=None`` the entries are symbolic Laurent polynomials; otherwise
     they are numbers computed at ``t``.  An integer ``t`` gives exact ints,
-    or Fractions where an entry is not an integer.
+    or Fractions where an entry is not an integer.  A float or complex
+    ``t`` raises ``OverflowError`` when an entry is not finite.
     """
     b = _as_braid(b)
     n = b.n
@@ -198,6 +199,14 @@ def burau(b, t=None):
         return BurauMatrix(entries=tuple(tuple(r) for r in _at_integer(word, dim, int(t))), symbolic=False)
     tinv = 1 / t if word else t  # the empty word needs no inverse, even at t = 0
     rows = _ring_rows(word, dim, t, tinv)
+    if not isinstance(t, numbers.Rational):
+        from cmath import isfinite
+
+        if not all(isfinite(x) for r in rows for x in r):
+            raise OverflowError(
+                f"Burau entries at t = {t!r} leave the float range; for exact entries "
+                "use an int or Fraction t, or burau(b) and then eval_at(t) on each entry"
+            )
     # Once two generators have acted, every entry (the untouched identity
     # ones too) has mixed with a t-valued one and takes t's number type.
     zero = 0 * t if len(word) > 1 else 0

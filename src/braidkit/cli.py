@@ -58,7 +58,7 @@ def _loop_arg(text: str, basepoint: bool):
 
 def _emit(args, obj, text):
     if getattr(args, "json", False):
-        print(json.dumps(obj))
+        print(json.dumps(obj, allow_nan=False))
     else:
         print(text)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .action import _apply_word, _word_order, act, loopcoords
+from .action import _update, _word_order, act, loopcoords
 from .braids import _as_braid, power
 from .config import Record
 from .loops import Loop, _intaxis_from_ab, canonical_loop, intaxis, minlength
@@ -32,10 +32,11 @@ NONCONVERGENCE_WARNING = (
 )
 
 _WINDOW = 5
-# One generator of the kernel (action._apply_word, run on each chunk) multiplies
-# the largest coordinate by at most 7 (< 2**3), so between two shifts the
-# coordinates stay below 2**(_BITS + 3 * _CHUNK), and the ratio of two
-# intersection counts taken after a shift fits in a double.
+# The kernel, action._update, runs on each chunk of the braid's validated word
+# without a range check (the loop is the braid's own canonical loop).  One
+# generator multiplies the largest coordinate by at most 7 (< 2**3), so
+# between two shifts the coordinates stay below 2**(_BITS + 3 * _CHUNK), and
+# the ratio of two intersection counts taken after a shift fits in a double.
 _CHUNK = 64
 _BITS = 64
 _LN2 = math.log(2)
@@ -70,7 +71,7 @@ def entropy(b, tol: float = 1e-6, maxit: int = 1000) -> EntropyResult:
         m0 = _intaxis_from_ab(a, bb)
         shift = 0  # the coordinates are 2**-shift times their true values
         for chunk in chunks:
-            _apply_word(a, bb, chunk)
+            _update(a, bb, chunk)
             e = max(max(map(abs, a)), max(map(abs, bb))).bit_length() - _BITS
             if e > 0:
                 a = [x >> e for x in a]

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidkit as bk
-from braidkit.action import _apply_word, _fits
+from braidkit import action
+from braidkit.action import _apply_word, _fits, _update
 from braidkit.config import properties
 from braidkit.linalg import _pack, _slot_bits, _unpack
 from braidkit.linalg import det_exact
@@ -497,3 +498,116 @@ def test_apply_word_rejects_a_bad_generator_deep_in_a_word():
         _apply_word(a, b, word)
     _apply_word(a, b, [])
     assert (a, b) == ([0, 0, 0], [-1, -1, -1])
+
+
+def _apply_word_reference(a, b, word, hi=0):
+    """The kernel as it was before the per-sign split, kept verbatim: the
+    byte-for-byte reference for :func:`_update`."""
+    m = len(a)
+    last = m + 1
+    if min(map(abs, word), default=1) < 1 or max(map(abs, word), default=0) > last:
+        k = next(k for k in word if not 1 <= abs(k) <= last)
+        raise ValueError(f"generator index {k} out of range for {m + 2} punctures")
+    lo = -hi
+    for k in word:
+        # an inverse is the positive generator conjugated by the reflection
+        # that negates the a-coordinates read and written (folded into the
+        # signs of d and of the a updates for a middle generator)
+        inv = k < 0
+        i = -k if inv else k
+        if i == 1:
+            a0, b0 = a[0], b[0]
+            if inv:
+                a0 = -a0
+            bn = a0 + b0 if b0 > hi else a0
+            an = bn - b0 if bn > hi else -b0
+            a[0], b[0] = -an if inv else an, bn
+        elif i == last:
+            a0, b0 = a[m - 1], b[m - 1]
+            if inv:
+                a0 = -a0
+            bn = a0 + b0 if b0 < lo else a0
+            an = bn - b0 if bn < lo else -b0
+            a[m - 1], b[m - 1] = -an if inv else an, bn
+        else:
+            # with d = a1 - a2 (a-coordinates reflected for an inverse),
+            # t = d + min(b1, 0), c = t - max(b2, 0), u = max(b2, 0) - d:
+            # a1 -= max(b1, 0) + max(t, 0), a2 -= min(b2, 0) + min(u, 0),
+            # and (b1, b2) <- (b2 + min(c, 0), b1 - min(c, 0))
+            j1, j2 = i - 2, i - 1
+            a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
+            d = a2 - a1 if inv else a1 - a2
+            t = d + b1 if b1 < lo else d
+            if b1 > hi:
+                a1 = a1 + b1 if inv else a1 - b1
+            if t > hi:
+                a1 = a1 + t if inv else a1 - t
+            if b2 > hi:
+                c, u = t - b2, b2 - d
+                if u < lo:
+                    a2 = a2 + u if inv else a2 - u
+            else:
+                c = t
+                if b2 < lo:
+                    a2 = a2 + b2 if inv else a2 - b2
+                if d > hi:  # u = -d < 0
+                    a2 = a2 - d if inv else a2 + d
+            if c < lo:
+                a[j1], a[j2], b[j1], b[j2] = a1, a2, b2 + c, b1 - c
+            else:
+                a[j1], a[j2], b[j1], b[j2] = a1, a2, b2, b1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_update_matches_the_reference_kernel(data):
+    # braids on n = 2..12 strands acting on loops of n + 1 punctures (the
+    # basepoint loop's count), so that every one of the six generator kinds
+    # (+-1, +-middle, +-last) can act once n >= 3; plain ints and forms, with
+    # frequent zeros to put the max/min branches on their ties
+    n = data.draw(st.integers(2, 12), label="n")
+    m = n - 1
+    coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    coords = st.lists(coord, min_size=m, max_size=m)
+    a, b = data.draw(coords, label="a"), data.draw(coords, label="b")
+    kinds = {"first": st.just(1), "middle": st.integers(2, max(m, 2)), "last": st.just(m + 1)}
+    index = st.sampled_from(["first", "middle", "last"] if m > 1 else ["first", "last"]).flatmap(kinds.get)
+    gens = index.flatmap(lambda i: st.sampled_from([i, -i]))
+    word = data.draw(st.lists(gens, max_size=40), label="word")
+
+    got, want = (list(a), list(b)), (list(a), list(b))
+    _update(*got, word)
+    _apply_word_reference(*want, word)
+    assert got == want and all(type(x) is int for x in got[0] + got[1])
+
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="rows seed"))
+    rows = [[rng.randint(-3, 3) for _ in range(2 * m)] for _ in range(2 * m)]
+    K = _slot_bits(2 + 3 * len(word))
+    hi = 1 << (K * 2 * m - 1)
+    forms = _forms(a + b, rows, K)
+    got, want = (forms[:m], forms[m:]), (forms[:m], forms[m:])
+    _update(*got, word, hi)
+    _apply_word_reference(*want, word, hi)
+    assert got == want
+
+
+def test_too_many_strands_raise_before_any_kernel_runs(monkeypatch):
+    # the paths that call the unchecked kernel bound the braid's strand
+    # count by the loop's first
+    def kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(action, "_update", kernel)
+    monkeypatch.setattr(action, "_apply_word", kernel)
+    b = bk.make_braid([1, -4, 2], 5)
+    for l in (bk.canonical_loop(4), bk.make_loop([0, -1, 0, -1])):
+        calls = (
+            lambda: bk.act(b, l),
+            lambda: bk.act(b, [l]),
+            lambda: bk.act_with_matrix(b, l),
+            lambda: bk.cycle(b, l),
+            lambda: bk.entropy_fixed_iterates(b, l, 2),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^braid on 5 strands cannot act on"):
+                call()

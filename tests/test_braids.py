@@ -413,7 +413,7 @@ def test_hash_survives_pickling_into_another_process():
         "print(hash(b) == hash(type(b)(b.word, b.n)))"
     )
     env = {"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "random"}
-    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(b), capture_output=True, env=env, check=True)
+    out = subprocess.run([sys.executable, "-B", "-c", code], input=pickle.dumps(b), capture_output=True, env=env, check=True)
     assert out.stdout.strip() == b"True"
 
 

@@ -278,6 +278,23 @@ def test_burau_at_zero_for_positive_words(n, data):
         burau(bk.make_braid(w + [-(n - 1)] + w, n), 0)
 
 
+def test_evaluated_burau_past_the_float_range_raises():
+    # at t = 1e-3 the entries of (s1 s2^-1)^300 pass 1e308; the row update
+    # used to return them as NaN, which no later step could tell from a value
+    b = bk.make_braid([1, -2] * 300, 3)
+    for t in (1e-3, complex(1e-3, 1e-3)):
+        with pytest.raises(OverflowError, match=r"int or Fraction t, or burau\(b\) and then eval_at"):
+            burau(b, t)
+    # the exact routes the message names agree with each other
+    exact = burau(b, Fraction(1, 1000)).entries
+    assert exact == tuple(tuple(p.eval_at(Fraction(1, 1000)) for p in row) for row in burau(b).entries)
+    assert max(abs(x) for row in exact for x in row) > 1e308
+    # a short word at the same t stays finite and is returned as before
+    short = bk.make_braid([1, -2] * 3, 3)
+    want = [float(x) for row in burau(short, Fraction(1, 1000)).entries for x in row]
+    assert [x for row in burau(short, 1e-3).entries for x in row] == pytest.approx(want, rel=1e-12)
+
+
 small_ints = st.integers(-9, 9)
 small_polys = st.builds(
     LaurentPoly, st.integers(-3, 3), st.lists(st.integers(-4, 4), max_size=3).map(tuple)

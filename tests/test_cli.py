@@ -5,7 +5,7 @@ import re
 import pytest
 
 import braidkit as bk
-from braidkit.cli import build_parser, main
+from braidkit.cli import _emit, build_parser, main
 
 
 def run(capsys, *argv):
@@ -264,6 +264,22 @@ def test_burau_at_outside_domain_is_a_domain_error(capsys, word, at):
     code, out, err = run(capsys, "burau", word, "--at", at)
     assert code == 1 and out == ""
     assert err.startswith("Error: ") and len(err.splitlines()) == 1
+
+
+def test_burau_json_past_the_float_range_is_an_error(capsys):
+    # the entries at t = 1e-300 overflow; JSON has no NaN or Infinity, and
+    # the command used to print [[-Infinity, NaN], [NaN, NaN]]
+    code, out, err = run(capsys, "--json", "burau", "1 -2 1 -2 1 -2 1 -2", "--at", "1e-300", "--n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("Error: ") and "float range" in err and len(err.splitlines()) == 1
+
+
+def test_json_output_rejects_non_finite_floats(capsys):
+    args = build_parser().parse_args(["--json", "entropy", "1"])
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="JSON"):
+            _emit(args, {"value": x}, "")
+    assert capsys.readouterr().out == ""
 
 
 def test_burau_at_zero_for_positive_words(capsys):

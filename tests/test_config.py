@@ -36,7 +36,7 @@ def test_set_and_validate():
 def test_env_override_applies_at_import():
     code = "import braidkit; print(braidkit.get_prop('BraidAbsTol'))"
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-B", "-c", code],  # -B: no bytecode written into src
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, "BRAIDKIT_BRAIDABSTOL": "1e-7"},
