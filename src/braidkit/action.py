@@ -103,9 +103,8 @@ def _update(a, b, word, hi=0):
     that each is in range for ``len(a) + 2`` punctures.  A coordinate is
     positive above ``hi`` and negative below ``-hi``: 0 for plain ints,
     ``H`` for forms.  A max/min branch resolved to 0 skips its add, so no
-    form is copied by ``x + 0``.  Each generator is written once per sign;
-    an inverse is the positive one conjugated by the reflection that negates
-    the a-coordinates it reads and writes, folded into its signs."""
+    form is copied by ``x + 0``.  Each generator is written once per sign,
+    an inverse with the reflection of the module docstring folded in."""
     m = len(a)
     last = m + 1
     lo = -hi
