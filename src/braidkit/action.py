@@ -115,7 +115,10 @@ def _update(a, b, word, hi=0):
             # a2 -= min(b2, 0) + min(u, 0),
             # and (b1, b2) <- (b2 + min(c, 0), b1 - min(c, 0))
             j1, j2 = k - 2, k - 1
-            a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
+            a1 = a[j1]
+            a2 = a[j2]
+            b1 = b[j1]
+            b2 = b[j2]
             d = a1 - a2
             t = d + b1 if b1 < lo else d
             if b1 > hi:
@@ -140,7 +143,10 @@ def _update(a, b, word, hi=0):
         elif -last < k < -1:
             # the same with a1, a2 negated on the way in and out
             j1, j2 = -k - 2, -k - 1
-            a1, a2, b1, b2 = a[j1], a[j2], b[j1], b[j2]
+            a1 = a[j1]
+            a2 = a[j2]
+            b1 = b[j1]
+            b2 = b[j2]
             d = a2 - a1
             t = d + b1 if b1 < lo else d
             if b1 > hi:

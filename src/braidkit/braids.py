@@ -43,11 +43,14 @@ def _hash(b):
 
 
 def _letters(b, size: str, extra: int):
-    """Store ``b.word`` as a tuple of ints, converting each letter once, and
+    """Store ``b.word`` as a tuple of ints, converting the letters once
+    unless all are exact ints already (for which ``int(x) is x``), and
     return the set of its letters, on which the checks run in fewer passes;
     a ``None`` size becomes the least that holds the word (``extra`` plus
     the largest index, and at least ``1 + extra``)."""
-    word = tuple(map(int, b.word))
+    word = tuple(b.word)
+    if not set(map(type, word)) <= {int}:
+        word = tuple(map(int, word))
     object.__setattr__(b, "word", word)
     letters = set(word)
     if getattr(b, size) is None:

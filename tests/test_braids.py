@@ -57,6 +57,9 @@ def test_bad_letters_report_the_first_one():
         bk.make_braid([], 0)
     b = bk.make_braid(np.array([2, -4, 1]))
     assert b.n == 5 and b.word == (2, -4, 1) and all(type(w) is int for w in b.word)
+    # exact ints are kept as they are; any other letter converts the word
+    b = bk.make_braid([1, 1.0, True, np.int64(-2)])
+    assert b.word == (1, 1, 1, -2) and all(type(w) is int for w in b.word)
     assert bk.make_braid([]).n == 2 and bk.make_annular_braid([]).nann == 1
     assert bk.make_annular_braid(w for w in [1, -3]).nann == 3
 
