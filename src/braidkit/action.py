@@ -7,8 +7,8 @@ linear.  One kernel, :func:`_update`, runs a whole word, with the update
 written once for positive generators and once for inverses, and every exact
 path calls it.  It trusts its word: the paths take it from a validated
 :class:`~braidkit.braids.Braid` whose strand count :func:`_check_compat` has
-bounded by the loop's, and :func:`_apply_word` checks the range first for a
-word that comes from elsewhere.
+bounded by the loop's.  Only :func:`apply_generator`, whose one generator
+comes from elsewhere, checks its range first.
 
 For :func:`act_with_matrix` each coordinate is a form, the one int
 ``E = value * 2**S + packed``: ``packed`` holds the coordinate's matrix row,
@@ -87,20 +87,10 @@ class CycleResult(Record):
         return prod
 
 
-def _apply_word(a, b, word, hi=0):
-    """:func:`_update` for a word not yet checked: every generator must be in
-    range for ``len(a) + 2`` punctures, or ``ValueError`` names the first
-    that is not, before any coordinate changes."""
-    last = len(a) + 1
-    if min(map(abs, word), default=1) < 1 or max(map(abs, word), default=0) > last:
-        k = next(k for k in word if not 1 <= abs(k) <= last)
-        raise ValueError(f"generator index {k} out of range for {last + 1} punctures")
-    _update(a, b, word, hi)
-
-
 def _update(a, b, word, hi=0):
     """Apply the signed generators of ``word`` in order, in place, trusting
-    that each is in range for ``len(a) + 2`` punctures.  A coordinate is
+    that each is in range for ``len(a) + 2`` punctures (of the callers, only
+    :func:`apply_generator` checks its generator).  A coordinate is
     positive above ``hi`` and negative below ``-hi``: 0 for plain ints,
     ``H`` for forms.  A max/min branch resolved to 0 skips its add, so no
     form is copied by ``x + 0``.  Each generator is written once per sign,
@@ -190,8 +180,11 @@ def apply_generator(l: Loop, i: int, sign: int = 1) -> Loop:
     """Act on a loop with a single generator (``sign`` +1 or -1)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    k, last = sign * i, len(l.a) + 1
+    if not 1 <= abs(k) <= last:
+        raise ValueError(f"generator index {k} out of range for {last + 1} punctures")
     a, b = list(l.a), list(l.b)
-    _apply_word(a, b, (sign * i,))
+    _update(a, b, (k,))
     return Loop(a=tuple(a), b=tuple(b), basepoint=l.basepoint)
 
 

@@ -42,12 +42,13 @@ def _hash(b):
     return hash((b.n, _key(b)))
 
 
-def _letters(b, size: str, extra: int):
+def _check_word(b, size: str, extra: int, beyond: str):
     """Store ``b.word`` as a tuple of ints, converting the letters once
-    unless all are exact ints already (for which ``int(x) is x``), and
-    return the set of its letters, on which the checks run in fewer passes;
-    a ``None`` size becomes the least that holds the word (``extra`` plus
-    the largest index, and at least ``1 + extra``)."""
+    unless all are exact ints already (for which ``int(x) is x``), and check,
+    on the set of its letters in fewer passes, that each ``w`` is nonzero
+    with ``|w| <= size - extra``; ``beyond`` formats the error for the first
+    bad letter and the size.  A ``None`` size becomes the least that holds
+    the word (``extra`` plus the largest index, and at least ``1 + extra``)."""
     word = tuple(b.word)
     if not set(map(type, word)) <= {int}:
         word = tuple(map(int, word))
@@ -55,7 +56,16 @@ def _letters(b, size: str, extra: int):
     letters = set(word)
     if getattr(b, size) is None:
         object.__setattr__(b, size, extra + max(map(abs, letters), default=1))
-    return letters
+    top = getattr(b, size)
+    if letters and (0 in letters or extra - min(letters) > top or extra + max(letters) > top):
+        w = next(w for w in word if w == 0 or extra + abs(w) > top)
+        if w == 0:
+            raise ValueError("generator index 0 is not allowed")
+        raise ValueError(beyond.format(w, top))
+
+
+def _str(b):
+    return "< " + (" ".join(map(str, b.word)) or "e") + " >"
 
 
 class Braid(Record):
@@ -66,22 +76,14 @@ class Braid(Record):
     n: int | None
 
     def __post_init__(self):
-        letters = _letters(self, "n", 1)
-        if letters and (0 in letters or -min(letters) >= self.n or max(letters) >= self.n):
-            w = next(w for w in self.word if w == 0 or abs(w) >= self.n)
-            if w == 0:
-                raise ValueError("generator index 0 is not allowed")
-            raise ValueError(f"generator {w} needs more than {self.n} strands")
+        _check_word(self, "n", 1, "generator {} needs more than {} strands")
         if self.n < 1:
             raise ValueError("strand count must be at least 1")
 
     def __len__(self):
         return len(self.word)
 
-    def __str__(self):
-        if not self.word:
-            return "< e >"
-        return "< " + " ".join(str(w) for w in self.word) + " >"
+    __str__ = _str
 
     def __mul__(self, other):
         from .loops import Loop
@@ -271,12 +273,7 @@ class AnnularBraid(Record):
     nann: int | None
 
     def __post_init__(self):
-        letters = _letters(self, "nann", 0)
-        if letters and (0 in letters or -min(letters) > self.nann or max(letters) > self.nann):
-            w = next(w for w in self.word if w == 0 or abs(w) > self.nann)
-            if w == 0:
-                raise ValueError("generator index 0 is not allowed")
-            raise ValueError(f"generator {w} exceeds {self.nann} annular punctures")
+        _check_word(self, "nann", 0, "generator {} exceeds {} annular punctures")
         if self.nann < 1:
             raise ValueError("need at least one annular puncture")
 
@@ -285,9 +282,7 @@ class AnnularBraid(Record):
         return self.nann + 1
 
     def __str__(self):
-        if not self.word:
-            return "< e >*"
-        return "< " + " ".join(str(w) for w in self.word) + " >*"
+        return _str(self) + "*"
 
     def __mul__(self, other):
         if isinstance(other, AnnularBraid):

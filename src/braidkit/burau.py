@@ -25,7 +25,8 @@ slots (Kronecker substitution, with the codec of :mod:`braidkit.linalg`).
 ``_CHUNK`` generators, so the reading is exact; before a chunk whose bound
 would outgrow the slot, the entries are read back, the bound restarts from
 their largest coefficients, and they are re-packed at a new width.  Float,
-complex and Fraction ``t`` run the update on numbers (:func:`_ring_rows`).
+complex and Fraction ``t`` run the update on numbers (:func:`_ring_rows`);
+an evaluated matrix loads neither :mod:`.laurent` nor :mod:`.linalg`.
 Determinants, and with them the Alexander polynomial, come from the
 fraction-free Bareiss elimination in :mod:`braidkit.linalg`, O(n^3) exact
 ring operations, each step of which runs on the entries packed at ``t =
@@ -37,8 +38,6 @@ import numbers
 
 from .braids import _as_braid
 from .config import Record
-from .laurent import LaurentPoly
-from .linalg import _pack, _slot_bits, _unpack, det_exact
 
 # Generators per chunk of the symbolic product: a word of at most this many
 # never re-packs.
@@ -65,6 +64,8 @@ class BurauMatrix(Record):
         return self.entries[i][j]
 
     def det(self):
+        from .linalg import det_exact
+
         return det_exact(self.entries)
 
     def to_json(self) -> dict:
@@ -135,6 +136,9 @@ def _grow(N, word):
 def _symbolic(word, dim: int):
     """Rows of ``LaurentPoly`` entries, by the integer kernel at ``t = 2**K``
     run in chunks; a re-pack leaves room for about two more chunks."""
+    from .laurent import LaurentPoly
+    from .linalg import _pack, _slot_bits, _unpack
+
     R, s = _identity(dim), [0] * (dim + 2)
     N = [0] + [1] * dim + [0]
     # the first chunk's slot; the identity's 0s and 1s read the same at every K
@@ -231,6 +235,9 @@ def alexander(b, centered: bool = False) -> LaurentPoly:
     (links of several components) this raises
     :class:`FractionalPowersError`.
     """
+    from .laurent import LaurentPoly
+    from .linalg import det_exact
+
     b = _as_braid(b)
     t = LaurentPoly.var()
     rows = [[int(r == c) - x for c, x in enumerate(row)] for r, row in enumerate(burau(b).entries)]

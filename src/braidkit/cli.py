@@ -171,25 +171,13 @@ def _cmd_cycle(args):
     elif args.no_basepoint:
         l0 = bk.canonical_loop(b.n, basepoint=False)
     result = bk.cycle(b, l0=l0, maxit=args.maxit)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "preperiod": result.preperiod,
-                    "period": result.period,
-                    "matrices": [M.to_json() for M in result.matrices]
-                    if args.iter
-                    else [result.product().to_json()],
-                }
-            )
-        )
-        return
-    print(f"preperiod = {result.preperiod}")
-    print(f"period = {result.period}")
     mats = result.matrices if args.iter else [result.product()]
-    for M in mats:
-        print(_matrix_text(M.entries))
-        print()
+    head = [f"preperiod = {result.preperiod}", f"period = {result.period}"]
+    _emit(
+        args,
+        {"preperiod": result.preperiod, "period": result.period, "matrices": [M.to_json() for M in mats]},
+        "\n".join(head + [_matrix_text(M.entries) + "\n" for M in mats]),  # a blank line after each matrix
+    )
 
 
 def _cmd_charpoly(args):

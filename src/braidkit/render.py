@@ -171,21 +171,9 @@ def render_loop(l: Loop, spec: RenderSpec | None = None) -> str:
 
     Y0 = H / 2
 
-    def strip_counts(i):
-        b_i = l.b[i]
-        lft = b_i if b_i > 0 else 0
-        rgt = -b_i if b_i < 0 else 0
-        through = nu[i] - 2 * lft
-        over = through // 2 - l.a[i]
-        under = through // 2 + l.a[i]
-        return over, under, lft, rgt
-
-    peak_levels = [1]
-    for i in range(m):
-        over, under, lft, rgt = strip_counts(i)
-        peak_levels.append(over + lft + rgt)
-        peak_levels.append(under + lft + rgt)
-    maxlevel = max(max(nu, default=0) / 2 + 1, max(peak_levels) + 1)
+    # above puncture i + 2 the strip stacks over + |b_i| strands, below it
+    # under + |b_i|: mu[2i] and mu[2i + 1]
+    maxlevel = max(max(nu, default=0) / 2 + 1, max([1, *mu]) + 1)
     dy = (H / 2 - margin) / maxlevel
 
     def Y(level):
@@ -228,7 +216,10 @@ def render_loop(l: Loop, spec: RenderSpec | None = None) -> str:
 
     for i in range(m):
         p = i + 2
-        over, under, lft, rgt = strip_counts(i)
+        b_i = l.b[i]
+        lft = b_i if b_i > 0 else 0
+        rgt = -b_i if b_i < 0 else 0
+        over, under = mu[2 * i] - abs(b_i), mu[2 * i + 1] - abs(b_i)
         ltops, lpairs, lbots = take(junctions[i], over, lft, under)
         rtops, rpairs, rbots = take(junctions[i + 1], over, rgt, under)
         for k in range(over):

@@ -241,6 +241,10 @@ def _extract(ts: TrajectorySet, angle: float):
         return o0 + frac * (o1 - o0)
 
     oi, oj = across(i), across(j)
+    # checked on the candidates only: an overflow here would give a NaN or a
+    # plausible wrong crossing time (a difference at inf makes frac 0)
+    if not np.isfinite([d0, d1, d0 - d1, frac, tc, oi, oj]).all():
+        raise ValueError("crossing times leave the float range; rescale the data")
     bad = np.nonzero(np.abs(oi - oj) <= tol)[0]
     if bad.size:
         e = bad[np.lexsort((k[bad], j[bad], i[bad]))[0]]
@@ -373,10 +377,8 @@ def closure(ts: TrajectorySet, method: str = "default") -> TrajectorySet:
     init = ts.positions[0]
     fin = ts.positions[-1]
     if method == "default":
-        init_rank = np.argsort(np.argsort(init[:, 0], kind="stable"), kind="stable")
-        fin_rank = np.argsort(np.argsort(fin[:, 0], kind="stable"), kind="stable")
-        by_rank = np.argsort(init_rank, kind="stable")  # rank -> initial particle
-        target = init[by_rank[fin_rank]]
+        target = np.empty_like(fin)  # the k-th final point in x order goes to the k-th initial one
+        target[np.argsort(fin[:, 0], kind="stable")] = init[np.argsort(init[:, 0], kind="stable")]
     elif method == "mindist":
         target = init[_assign(np.linalg.norm(fin[:, None, :] - init[None, :, :], axis=2))]
     else:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import braidkit as bk
 from braidkit import action
-from braidkit.action import _apply_word, _fits, _update
+from braidkit.action import _fits, _update
 from braidkit.config import properties
 from braidkit.linalg import _pack, _slot_bits, _unpack
 from braidkit.linalg import det_exact
@@ -36,11 +36,21 @@ def test_apply_generator_inverse_cancels():
 
 
 def test_apply_generator_range_check():
+    # apply_generator is the one path that checks a generator against the
+    # loop before the kernel runs; a word reaches the kernel only through a
+    # Braid, whose letter check test_braids covers
     l = bk.make_loop([0, -1])
     with pytest.raises(ValueError):
         bk.apply_generator(l, 3, 1)
     with pytest.raises(ValueError):
         bk.apply_generator(l, 0, 1)
+    l = bk.make_loop([0, 0, 0, -1, -1, -1])
+    for i, sign, k in ((5, -1, -5), (0, 1, 0), (9, 1, 9)):
+        with pytest.raises(ValueError, match=rf"^generator index {k} out of range for 5 punctures$"):
+            bk.apply_generator(l, i, sign)
+    assert [bk.apply_generator(l, i, s) for i in range(1, 5) for s in (1, -1)] == [
+        bk.act(bk.make_braid([s * i], 5), l) for i in range(1, 5) for s in (1, -1)
+    ]
 
 
 def test_act_fixture_and_word_split():
@@ -264,7 +274,7 @@ def _negate_a(a, rows_a, lo, hi):
 def _apply_gen_tracked(a, b, k, rows_a=None, rows_b=None):
     """Generator update written out twice, on the coordinates and again on
     the matrix rows ``rows_a``/``rows_b``: the reference for
-    :func:`_apply_word` on forms."""
+    :func:`_update` on forms."""
     m = len(a)
     N = m + 2
     i = abs(k)
@@ -345,10 +355,10 @@ def _apply_gen_full_reflection(a, b, k, hi=0):
     whole ``a`` half: the reference for the kernel, which reflects only the
     coordinates the generator reads."""
     if k > 0:
-        _apply_word(a, b, (k,), hi)
+        _update(a, b, (k,), hi)
         return
     a[:] = [-x for x in a]
-    _apply_word(a, b, (-k,), hi)
+    _update(a, b, (-k,), hi)
     a[:] = [-x for x in a]
 
 
@@ -382,10 +392,10 @@ def test_apply_gen_matches_full_reflection(data):
     tracked = (list(a), list(b), [r[:] for r in rows[:m]], [r[:] for r in rows[m:]])
     plain = (list(a), list(b))
     for k in word:
-        _apply_word(*got, (k,), hi)
+        _update(*got, (k,), hi)
         _apply_gen_full_reflection(*ref, k, hi)
         _apply_gen_tracked(*tracked[:2], k, *tracked[2:])
-        _apply_word(*plain, (k,))
+        _update(*plain, (k,))
     assert got == ref
     assert got[0] + got[1] == _forms(tracked[0] + tracked[1], tracked[2] + tracked[3], K)
     assert plain[0] + plain[1] == tracked[0] + tracked[1]
@@ -483,21 +493,6 @@ def test_act_with_matrix_edge_cases():
         image, M = bk.act_with_matrix(bk.make_braid([], 2), l)
         assert image == l
         assert M.entries == ((1, 0), (0, 1))
-
-
-def test_apply_word_rejects_a_bad_generator_deep_in_a_word():
-    rng = random.Random(4)
-    word = [rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(3000)]
-    word[2000], word[2500] = -5, 0
-    a, b = [0, 0, 0], [-1, -1, -1]
-    with pytest.raises(ValueError, match=r"^generator index -5 out of range for 5 punctures$"):
-        _apply_word(a, b, word)
-    assert (a, b) == ([0, 0, 0], [-1, -1, -1])  # checked before any update
-    word[2000] = 4
-    with pytest.raises(ValueError, match=r"^generator index 0 out of range"):
-        _apply_word(a, b, word)
-    _apply_word(a, b, [])
-    assert (a, b) == ([0, 0, 0], [-1, -1, -1])
 
 
 def _apply_word_reference(a, b, word, hi=0):
@@ -598,7 +593,6 @@ def test_too_many_strands_raise_before_any_kernel_runs(monkeypatch):
         raise AssertionError("a kernel ran")
 
     monkeypatch.setattr(action, "_update", kernel)
-    monkeypatch.setattr(action, "_apply_word", kernel)
     b = bk.make_braid([1, -4, 2], 5)
     for l in (bk.canonical_loop(4), bk.make_loop([0, -1, 0, -1])):
         calls = (

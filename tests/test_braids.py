@@ -55,6 +55,15 @@ def test_bad_letters_report_the_first_one():
             bk.make_annular_braid(word, 3)
     with pytest.raises(ValueError, match="^strand count must be at least 1$"):
         bk.make_braid([], 0)
+    # however deep in a long word
+    rng = random.Random(4)
+    word = [rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(3000)]
+    word[2000], word[2500] = -5, 0
+    with pytest.raises(ValueError, match=r"^generator -5 needs more than 4 strands$"):
+        bk.make_braid(word, 4)
+    word[2000] = 3
+    with pytest.raises(ValueError, match=r"^generator index 0 is not allowed$"):
+        bk.make_braid(word, 4)
     b = bk.make_braid(np.array([2, -4, 1]))
     assert b.n == 5 and b.word == (2, -4, 1) and all(type(w) is int for w in b.word)
     # exact ints are kept as they are; any other letter converts the word

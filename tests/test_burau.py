@@ -218,16 +218,18 @@ def _long_cases():
 
 
 def _counting(name):
-    """A patch of ``burau.<name>`` that records the slot width of each
-    call, and the list it records into."""
+    """A patch of ``linalg.<name>``, which symbolic ``burau`` imports where
+    it runs, that records the slot width of each call, and the list it
+    records into."""
     calls = []
-    real = getattr(burau_module, name)
+    linalg = importlib.import_module("braidkit.linalg")
+    real = getattr(linalg, name)
 
     def counted(x, K):
         calls.append(K)
         return real(x, K)
 
-    return mock.patch.object(burau_module, name, counted), calls
+    return mock.patch.object(linalg, name, counted), calls
 
 
 @pytest.mark.parametrize("case", [0, 1])

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 import braidkit as bk
-from braidkit.action import _apply_word, _word_order
+from braidkit.action import _update, _word_order
 from braidkit.entropy import (
     NONCONVERGENCE_WARNING,
     EntropyResult,
@@ -176,7 +176,7 @@ def _entropy_float(b, tol=1e-6, maxit=1000):
         m0 = _intaxis_from_ab(a, bb)
         shift = 0
         for chunk in chunks:
-            _apply_word(a, bb, chunk)
+            _update(a, bb, chunk)
             p = peak()
             if p > 2.0**512:
                 if p == math.inf:

@@ -1,6 +1,9 @@
-"""The lazy package namespace, and what each CLI command loads."""
+"""The lazy package namespace, what each CLI command loads, and the
+package's private helpers."""
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -160,9 +163,10 @@ def test_no_module_imports_dataclasses():
 
 
 def test_only_the_matrix_commands_load_linalg(tmp_path):
-    # action imports the slot codec and the matrix products from linalg
-    # where they run, so the commands that never build a matrix do not
-    # load, or compile, linalg
+    # action and burau import the slot codec, the matrix products and the
+    # determinant from linalg where they run, so the commands that never
+    # build a matrix or take a determinant do not load, or compile, linalg;
+    # an evaluated Burau matrix loads no laurent either
     path = tmp_path / "tracks.csv"
     braidkit.save_trajectories_csv(braidkit.trajectories_from_braid(braidkit.make_braid([1, -2, 1, 2])), path)
     for argv in (
@@ -171,5 +175,26 @@ def test_only_the_matrix_commands_load_linalg(tmp_path):
         ("fromdata", str(path), "--databraid"), ("ftbe", str(path), "--closure", "mindist"),
     ):
         assert "braidkit.linalg" not in _loaded_by(*argv), argv
+    for at in ("2", "0.5"):
+        loaded = _loaded_by("burau", "1 -2 1 2 -1 2", "--at", at, "--n", "3")
+        assert "braidkit.burau" in loaded and not loaded & {"braidkit.linalg", "braidkit.laurent"}, at
     for argv in (("act", "1 -2", "0 -1", "--matrix"), ("cycle", "1 -2"), ("charpoly", "1 -2")):
         assert "braidkit.linalg" in _loaded_by(*argv), argv
+
+
+def test_every_private_module_level_helper_has_a_reference_in_src():
+    # a module-level function or class named with one leading underscore
+    # serves src alone, so one that src names nowhere outside its own
+    # definition is dead code
+    helpers, named = set(), set()
+    for path in pathlib.Path(SRC, "braidkit").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own[:1] == "_" and own[:2] != "__":
+                helpers.add(own)
+            for node in ast.walk(top):
+                ref = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and ref != own:
+                    named.add(ref)
+    assert helpers
+    assert not helpers - named, f"no reference in src: {sorted(helpers - named)}"

@@ -215,6 +215,20 @@ def test_closure_makes_angle_invariants_agree():
         assert cycle_type(bk.perm(b0)) == cycle_type(bk.perm(b1))
 
 
+def test_closure_default_pairs_x_ranks_stably_with_ties():
+    # the k-th final point in x order (ties by particle index) goes to the
+    # k-th initial point in the same order
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        P = int(rng.integers(2, 9))
+        pos = rng.integers(0, 3, size=(3, P, 2)).astype(float)
+        init, fin = pos[0], pos[-1]
+        by_x = [sorted(range(P), key=lambda p: pts[p][0]) for pts in (init, fin)]
+        want = np.empty_like(fin)
+        want[by_x[1]] = init[by_x[0]]
+        assert np.array_equal(closure(TrajectorySet(times=[0.0, 1.0, 2.0], positions=pos)).positions[-1], want)
+
+
 def test_closure_mindist_picks_cheaper_pairing():
     init = np.array([[0.0, 0.0], [1.0, 0.0]])
     fin = np.array([[1.2, 0.0], [0.1, 0.0]])
@@ -540,6 +554,30 @@ def test_sweep_matches_pair_loop_on_braid_diagrams(n, gens, signs, stride, angle
 
 def _linear_tracks(start, end):
     return TrajectorySet(times=np.array([0.0, 1.0]), positions=np.array([start, end], dtype=float))
+
+
+_C = math.sqrt(0.5)
+
+
+@pytest.mark.parametrize(
+    "positions, scale, angle",
+    [
+        # two particles swap at x = +-1.5e308: d0 overflows, the time was NaN
+        ([[[1.5, 0], [-1.5, 1]], [[-1.5, 0], [1.5, 1]]], 1e308, 0.0),
+        # one passes one at rest: only d0 - d1 overflows, the time was 0
+        ([[[1.5, 1], [0, 0]], [[-1.5, 1], [0, 0]]], 1e308, 0.0),
+        # a swap turned by pi/4 and read at that angle: the time was 0
+        ([[[_C, _C], [-2 * _C, 0]], [[-_C, -_C], [0, 2 * _C]]], 0.7e308, math.pi / 4),
+    ],
+)
+def test_crossing_times_past_the_float_range_raise(positions, scale, angle):
+    # each crosses at t = 0.5 at unit scale
+    def tracks(f):
+        return TrajectorySet(times=[0.0, 1.0], positions=np.array(positions) * f)
+
+    assert databraid_from_data(tracks(1.0), angle).tcross == pytest.approx((0.5,))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="rescale the data"):
+        databraid_from_data(tracks(scale), angle)
 
 
 def test_sweep_three_particles_meeting_at_one_projected_point_and_time():
