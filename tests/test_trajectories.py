@@ -562,11 +562,11 @@ _C = math.sqrt(0.5)
 @pytest.mark.parametrize(
     "positions, scale, angle",
     [
-        # two particles swap at x = +-1.5e308: d0 overflows, the time was NaN
+        # two particles swap at x = +-1.5e308: d0 overflows, so unchecked the time reads NaN
         ([[[1.5, 0], [-1.5, 1]], [[-1.5, 0], [1.5, 1]]], 1e308, 0.0),
-        # one passes one at rest: only d0 - d1 overflows, the time was 0
+        # one passes one at rest: only d0 - d1 overflows, so unchecked frac and the time read 0
         ([[[1.5, 1], [0, 0]], [[-1.5, 1], [0, 0]]], 1e308, 0.0),
-        # a swap turned by pi/4 and read at that angle: the time was 0
+        # a swap turned by pi/4 and read at that angle: again only d0 - d1 overflows
         ([[[_C, _C], [-2 * _C, 0]], [[-_C, -_C], [0, 2 * _C]]], 0.7e308, math.pi / 4),
     ],
 )
