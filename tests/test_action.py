@@ -495,6 +495,47 @@ def test_act_with_matrix_edge_cases():
         assert M.entries == ((1, 0), (0, 1))
 
 
+def test_apply_word_rejects_a_bad_generator_deep_in_a_word(monkeypatch):
+    # a word reaches the kernel either whole, through a Braid, or one letter
+    # at a time, through apply_generator; both refuse a bad letter deep in a
+    # long word before the kernel sees it
+    rng = random.Random(4)
+    word = [rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(3000)]
+    word[2000], word[2500] = -5, 0
+    l0 = bk.make_loop([0, 0, 0, -1, -1, -1])
+
+    def run_letters(word):
+        l = l0
+        for pos, k in enumerate(word):
+            try:
+                l = bk.apply_generator(l, abs(k), -1 if k < 0 else 1)
+            except ValueError as e:
+                return pos, l, str(e)
+        return None, l, None
+
+    pos, l, msg = run_letters(word)
+    assert (pos, msg) == (2000, "generator index -5 out of range for 5 punctures")
+    assert l == bk.act(bk.make_braid(word[:2000], 5), l0)
+    word[2000] = 4
+    pos, l, msg = run_letters(word)
+    assert pos == 2500 and msg.startswith("generator index 0 out of range")
+    assert l == bk.act(bk.make_braid(word[:2500], 5), l0)
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(action, "_update", kernel)
+        word[2000] = -5
+        with pytest.raises(ValueError, match=r"^generator -5 needs more than 5 strands$"):
+            bk.act(bk.make_braid(word, 5), l0)
+        word[2000] = 4
+        with pytest.raises(ValueError, match=r"^generator index 0 is not allowed$"):
+            bk.act(bk.make_braid(word, 5), l0)
+    assert bk.act(bk.make_braid([], 5), l0) == l0
+    assert run_letters([]) == (None, l0, None)
+
+
 def _apply_word_reference(a, b, word, hi=0):
     """The kernel as it was before the per-sign split, kept verbatim: the
     byte-for-byte reference for :func:`_update`."""
