@@ -14,6 +14,7 @@ extra strand.
 from __future__ import annotations
 
 import math
+import numbers
 
 from . import action
 from .config import Record, replace
@@ -48,15 +49,23 @@ def _check_word(b, size: str, extra: int, beyond: str):
     on the set of its letters in fewer passes, that each ``w`` is nonzero
     with ``|w| <= size - extra``; ``beyond`` formats the error for the first
     bad letter and the size.  A ``None`` size becomes the least that holds
-    the word (``extra`` plus the largest index, and at least ``1 + extra``)."""
+    the word (``extra`` plus the largest index, and at least ``1 + extra``);
+    any other size must be integral, stored as an int, or ``TypeError``
+    names the field and the value."""
     word = tuple(b.word)
     if not set(map(type, word)) <= {int}:
         word = tuple(map(int, word))
     object.__setattr__(b, "word", word)
     letters = set(word)
-    if getattr(b, size) is None:
-        object.__setattr__(b, size, extra + max(map(abs, letters), default=1))
     top = getattr(b, size)
+    if type(top) is not int:
+        if top is None:
+            top = extra + max(map(abs, letters), default=1)
+        elif isinstance(top, numbers.Integral):
+            top = int(top)
+        else:
+            raise TypeError(f"{size} must be an integer, got {top!r}")
+        object.__setattr__(b, size, top)
     if letters and (0 in letters or extra - min(letters) > top or extra + max(letters) > top):
         w = next(w for w in word if w == 0 or extra + abs(w) > top)
         if w == 0:
@@ -70,7 +79,9 @@ def _str(b):
 
 class Braid(Record):
     """A word of signed generator indices on ``n`` strands; ``n=None`` is
-    the least strand count that supports the word (2 for the empty word)."""
+    the least strand count that supports the word (2 for the empty word).
+    Any other ``n`` must be an integer (numpy ints convert to int); a float,
+    even a whole one, raises ``TypeError``."""
 
     word: tuple
     n: int | None
@@ -108,7 +119,7 @@ def make_braid(word, n: int | None = None) -> Braid:
     """Braid from a word of signed generator indices.
 
     The strand count defaults to the minimum that supports the word (2 for
-    the empty word).
+    the empty word); a given one must be an integer, or ``TypeError``.
     """
     return Braid(word=word, n=n)
 
@@ -266,7 +277,8 @@ class AnnularBraid(Record):
     ``nann`` punctures move; the annulus center is a fixed extra puncture,
     so the underlying strand count is ``nann + 1``.  Generator ``nann``
     carries the outermost puncture around the center; ``nann=None`` is the
-    largest index in the word (1 for the empty word).
+    largest index in the word (1 for the empty word), and any other
+    ``nann`` must be an integer, as for :class:`Braid`.
     """
 
     word: tuple

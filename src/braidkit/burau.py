@@ -30,7 +30,8 @@ an evaluated matrix loads neither :mod:`.laurent` nor :mod:`.linalg`.
 Determinants, and with them the Alexander polynomial, come from the
 fraction-free Bareiss elimination in :mod:`braidkit.linalg`, O(n^3) exact
 ring operations, each step of which runs on the entries packed at ``t =
-2**K``.
+2**K``; the determinant of a float or complex matrix is an LU factorisation
+that raises ``OverflowError`` outside the float range.
 """
 from __future__ import annotations
 

@@ -63,8 +63,19 @@ def _emit(args, obj, text):
         print(text)
 
 
-def _braid_out(args, b):
-    _emit(args, b.to_json(), str(b))
+def _record(v):
+    """A record's JSON and display forms, for :func:`_emit`."""
+    return v.to_json(), str(v)
+
+
+def _keyed(key):
+    """The output shape ``{key: v}`` for :func:`_emit`; as text, a flag is 1 or
+    0 and a tuple is space-separated."""
+    def shape(v):
+        if isinstance(v, tuple):
+            return {key: list(v)}, " ".join(map(str, v))
+        return {key: v}, ("1" if v else "0") if isinstance(v, bool) else str(v)
+    return shape
 
 
 def _matrix_text(entries):
@@ -73,74 +84,44 @@ def _matrix_text(entries):
 
 # ------------------------------------------------------------- subcommands
 
+# The ops of `braid` and `loop`, in the order of their help: each maps to its
+# handler and its output shape.
+_BRAID_OPS = {
+    "make": (_braid_arg, _record),
+    "mul": (lambda args: bk.mul(a := _braid_arg(args), _other_arg(args, a)), _record),
+    "inverse": (lambda args: bk.inverse(_braid_arg(args)), _record),
+    "power": (lambda args: bk.power(_braid_arg(args), args.k), _record),
+    "compact": (lambda args: bk.compact(_braid_arg(args)), _record),
+    "equals": (lambda args: bk.equals(a := _braid_arg(args), _other_arg(args, a)), _keyed("equal")),
+    "istrivial": (lambda args: bk.istrivial(_braid_arg(args)), _keyed("trivial")),
+    "perm": (lambda args: bk.perm(_braid_arg(args)), _keyed("perm")),
+    "writhe": (lambda args: bk.writhe(_braid_arg(args)), _keyed("writhe")),
+    "subbraid": (lambda args: bk.subbraid(keep=_parse_word(args.keep), b=_braid_arg(args)), _record),
+    "tensor": (lambda args: bk.tensor(_braid_arg(args), _braid_arg(args, _parse_word(args.other))), _record),
+    "random": (lambda args: bk.random_braid(args.strands, args.length, args.seed), _record),
+    "halftwist": (lambda args: bk.halftwist(args.strands), _record),
+    "fulltwist": (lambda args: bk.fulltwist(args.strands), _record),
+    "annular": (lambda args: bk.make_annular_braid(_parse_word(args.word), args.n).to_braid(), _record),
+}
 
-def _cmd_braid(args):
-    op = args.op
-    if op == "make":
-        _braid_out(args, _braid_arg(args))
-    elif op == "mul":
-        a = _braid_arg(args)
-        _braid_out(args, bk.mul(a, _other_arg(args, a)))
-    elif op == "inverse":
-        _braid_out(args, bk.inverse(_braid_arg(args)))
-    elif op == "power":
-        _braid_out(args, bk.power(_braid_arg(args), args.k))
-    elif op == "compact":
-        _braid_out(args, bk.compact(_braid_arg(args)))
-    elif op == "equals":
-        a = _braid_arg(args)
-        result = bk.equals(a, _other_arg(args, a))
-        _emit(args, {"equal": result}, "1" if result else "0")
-    elif op == "istrivial":
-        result = bk.istrivial(_braid_arg(args))
-        _emit(args, {"trivial": result}, "1" if result else "0")
-    elif op == "perm":
-        p = bk.perm(_braid_arg(args))
-        _emit(args, {"perm": list(p)}, " ".join(str(x) for x in p))
-    elif op == "writhe":
-        w = bk.writhe(_braid_arg(args))
-        _emit(args, {"writhe": w}, str(w))
-    elif op == "subbraid":
-        keep = _parse_word(args.keep)
-        _braid_out(args, bk.subbraid(_braid_arg(args), keep))
-    elif op == "tensor":
-        _braid_out(args, bk.tensor(_braid_arg(args), _braid_arg(args, _parse_word(args.other))))
-    elif op == "random":
-        _braid_out(args, bk.random_braid(args.strands, args.length, args.seed))
-    elif op == "halftwist":
-        _braid_out(args, bk.halftwist(args.strands))
-    elif op == "fulltwist":
-        _braid_out(args, bk.fulltwist(args.strands))
-    elif op == "annular":
-        ab = bk.make_annular_braid(_parse_word(args.word), args.n)
-        _braid_out(args, ab.to_braid())
-    else:  # pragma: no cover
-        raise ValueError(f"unknown braid op {op}")
+_LOOP_OPS = {
+    "make": (lambda args: _loop_arg(args.coords, args.basepoint), _record),
+    "canonical": (lambda args: bk.canonical_loop(args.punctures, basepoint=not args.no_basepoint), _record),
+    "intersec": (
+        lambda args: bk.intersec(_loop_arg(args.coords, args.basepoint)),
+        lambda i: ({"mu": list(i.mu), "nu": list(i.nu)}, " ".join(map(str, i.mu + i.nu))),
+    ),
+    "minlength": (lambda args: bk.minlength(_loop_arg(args.coords, args.basepoint)), _keyed("minlength")),
+    "intaxis": (lambda args: bk.intaxis(_loop_arg(args.coords, args.basepoint)), _keyed("intaxis")),
+}
 
 
-def _cmd_loop(args):
-    op = args.op
-    if op == "make":
-        l = _loop_arg(args.coords, args.basepoint)
-        _emit(args, l.to_json(), str(l))
-    elif op == "canonical":
-        l = bk.canonical_loop(args.punctures, basepoint=not args.no_basepoint)
-        _emit(args, l.to_json(), str(l))
-    elif op == "intersec":
-        inums = bk.intersec(_loop_arg(args.coords, args.basepoint))
-        _emit(
-            args,
-            {"mu": list(inums.mu), "nu": list(inums.nu)},
-            " ".join(str(x) for x in inums.mu + inums.nu),
-        )
-    elif op == "minlength":
-        v = bk.minlength(_loop_arg(args.coords, args.basepoint))
-        _emit(args, {"minlength": v}, str(v))
-    elif op == "intaxis":
-        v = bk.intaxis(_loop_arg(args.coords, args.basepoint))
-        _emit(args, {"intaxis": v}, str(v))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown loop op {op}")
+def _run_op(ops):
+    """The command that runs ``args.op`` of the table ``ops``."""
+    def run(args):
+        handler, shape = ops[args.op]
+        _emit(args, *shape(handler(args)))
+    return run
 
 
 def _cmd_act(args):
@@ -154,13 +135,11 @@ def _cmd_act(args):
             str(image) + "\n" + _matrix_text(M.entries),
         )
     else:
-        image = bk.act(b, l)
-        _emit(args, image.to_json(), str(image))
+        _emit(args, *_record(bk.act(b, l)))
 
 
 def _cmd_loopcoords(args):
-    l = bk.loopcoords(_braid_arg(args))
-    _emit(args, l.to_json(), str(l))
+    _emit(args, *_record(bk.loopcoords(_braid_arg(args))))
 
 
 def _cmd_cycle(args):
@@ -221,14 +200,20 @@ def _cmd_burau(args):
         rows = [[p.display("t") for p in row] for row in B.entries]
         _emit(args, B.to_json(), "\n".join("[ " + ", ".join(row) + " ]" for row in rows))
     else:
-        B = bk.burau(b, _number(args.at))
+        B = bk.burau(b, args.at)
         text = "\n".join(" ".join(_fmt_num(x) for x in row) for row in B.entries)
         _emit(args, B.to_json(), text)
 
 
 def _number(text: str):
-    v = float(text)
-    return int(v) if v == int(v) else v
+    """``--at``: a finite number, an int when it is whole; anything else is
+    a usage error.  ``float`` refuses a word that is not a number, and
+    ``int`` an infinity or NaN."""
+    try:
+        v = float(text)
+        return int(v) if v == int(v) else v
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"t must be a finite number, got {text!r}") from None
 
 
 def _fmt_num(x):
@@ -259,7 +244,7 @@ def _cmd_fromdata(args):
             str(db.braid) + "\ntcross: " + " ".join(f"{t:g}" for t in db.tcross),
         )
     else:
-        _braid_out(args, db.braid)
+        _emit(args, *_record(db.braid))
 
 
 def _cmd_ftbe(args):
@@ -282,14 +267,7 @@ def _cmd_render(args):
 
 def _cmd_prop(args):
     if args.op == "get":
-        value = bk.get_prop(args.name)
-        if isinstance(value, bool):
-            text = "1" if value else "0"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        _emit(args, {args.name: value}, text)
+        _emit(args, *_keyed(args.name)(bk.get_prop(args.name)))
     else:
         bk.set_prop(args.name, args.value)
         value = bk.get_prop(args.name)
@@ -318,15 +296,8 @@ def build_parser(cmd=None) -> argparse.ArgumentParser:
         sub.add_parser(name, help=help).set_defaults(func=func)
         return sub.choices[name] if cmd in (None, name) else None
 
-    if p := command("braid", "braid algebra operations", _cmd_braid):
-        p.add_argument(
-            "op",
-            choices=[
-                "make", "mul", "inverse", "power", "compact", "equals", "istrivial",
-                "perm", "writhe", "subbraid", "tensor", "random", "halftwist",
-                "fulltwist", "annular",
-            ],
-        )
+    if p := command("braid", "braid algebra operations", _run_op(_BRAID_OPS)):
+        p.add_argument("op", choices=list(_BRAID_OPS))
         _add_word_opts(p)
         p.add_argument("other", nargs="?", default="", help="second word (mul/equals/tensor)")
         p.add_argument("--k", type=int, default=2, help="exponent for power")
@@ -335,8 +306,8 @@ def build_parser(cmd=None) -> argparse.ArgumentParser:
         p.add_argument("--length", type=int, default=10, help="word length for random")
         p.add_argument("--seed", type=int, default=None)
 
-    if p := command("loop", "loop coordinate operations", _cmd_loop):
-        p.add_argument("op", choices=["make", "canonical", "intersec", "minlength", "intaxis"])
+    if p := command("loop", "loop coordinate operations", _run_op(_LOOP_OPS)):
+        p.add_argument("op", choices=list(_LOOP_OPS))
         p.add_argument("coords", nargs="?", default="", help="coordinate vector")
         p.add_argument("--punctures", type=int, default=3, help="puncture count for canonical")
         p.add_argument("--basepoint", action="store_true")
@@ -374,25 +345,24 @@ def build_parser(cmd=None) -> argparse.ArgumentParser:
 
     if p := command("burau", "reduced Burau matrix", _cmd_burau):
         _add_word_opts(p)
-        p.add_argument("--at", default=None, help="evaluate the entries at this value of t")
+        p.add_argument("--at", type=_number, default=None, help="evaluate the entries at this value of t")
         p.add_argument("--symbolic", action="store_true")
 
     if p := command("alexander", "Alexander-Conway polynomial of the closure", _cmd_alexander):
         _add_word_opts(p)
         p.add_argument("--centered", action="store_true")
 
-    if p := command("fromdata", "braid from a trajectory file (CSV or JSON)", _cmd_fromdata):
+    fromdata = command("fromdata", "braid from a trajectory file (CSV or JSON)", _cmd_fromdata)
+    ftbe = command("ftbe", "finite-time braiding exponent of a trajectory file", _cmd_ftbe)
+    for p in filter(None, (fromdata, ftbe)):
         p.add_argument("file")
         p.add_argument("--angle", type=float, default=0.0)
         p.add_argument("--closure", choices=["default", "mindist", "none"], default="none")
-        p.add_argument("--databraid", action="store_true", help="include crossing times")
-
-    if p := command("ftbe", "finite-time braiding exponent of a trajectory file", _cmd_ftbe):
-        p.add_argument("file")
-        p.add_argument("--angle", type=float, default=0.0)
-        p.add_argument("--closure", choices=["default", "mindist", "none"], default="none")
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--norm", choices=["intaxis", "minlength"], default="intaxis")
+    if fromdata:
+        fromdata.add_argument("--databraid", action="store_true", help="include crossing times")
+    if ftbe:
+        ftbe.add_argument("--T", type=float, default=None)
+        ftbe.add_argument("--norm", choices=["intaxis", "minlength"], default="intaxis")
 
     if p := command("render", "render a braid or loop to SVG", _cmd_render):
         p.add_argument("kind", choices=["braid", "loop"])

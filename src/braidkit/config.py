@@ -71,15 +71,20 @@ class Properties(Record, frozen=False):
     loop_coords_base_point: str = "right"  # only 'right' is supported
 
 
-# Public property keys as shown by the `prop` command, mapped to attributes.
-PROP_KEYS = {
-    "GenRotDir": "gen_rot_dir",
-    "GenLoopActDir": "gen_loop_act_dir",
-    "GenPlotOverUnder": "gen_plot_over_under",
-    "BraidAbsTol": "braid_abs_tol",
-    "BraidPlotDir": "braid_plot_dir",
-    "LoopCoordsBasePoint": "loop_coords_base_point",
+# Public property keys as shown by the `prop` command: the attribute, the
+# converter of the raw string, the check of the converted value (if any) and
+# its message.
+_PROPS = {
+    "GenRotDir": ("gen_rot_dir", int, lambda v: v in (1, -1), "GenRotDir must be 1 or -1"),
+    "GenLoopActDir": ("gen_loop_act_dir", str, lambda v: v in ("lr", "rl"), "GenLoopActDir must be 'lr' or 'rl'"),
+    "GenPlotOverUnder": ("gen_plot_over_under", lambda raw: raw.lower() in ("1", "true", "yes", "on"), None, None),
+    "BraidAbsTol": ("braid_abs_tol", float, lambda v: not v < 0, "BraidAbsTol must be nonnegative"),
+    "BraidPlotDir": ("braid_plot_dir", str, lambda v: v in ("bt", "tb", "lr", "rl"),
+                     "BraidPlotDir must be one of 'bt','tb','lr','rl'"),
+    "LoopCoordsBasePoint": ("loop_coords_base_point", str, lambda v: v == "right",
+                            "LoopCoordsBasePoint supports only 'right'"),
 }
+PROP_KEYS = {key: spec[0] for key, spec in _PROPS.items()}
 
 _properties = Properties()
 
@@ -87,33 +92,6 @@ _properties = Properties()
 def properties() -> Properties:
     """Return the global configuration record."""
     return _properties
-
-
-def _parse(key: str, raw: str):
-    attr = PROP_KEYS[key]
-    if attr == "gen_rot_dir":
-        value = int(raw)
-        if value not in (1, -1):
-            raise ValueError("GenRotDir must be 1 or -1")
-    elif attr == "gen_loop_act_dir":
-        value = raw
-        if value not in ("lr", "rl"):
-            raise ValueError("GenLoopActDir must be 'lr' or 'rl'")
-    elif attr == "gen_plot_over_under":
-        value = raw.lower() in ("1", "true", "yes", "on")
-    elif attr == "braid_abs_tol":
-        value = float(raw)
-        if value < 0:
-            raise ValueError("BraidAbsTol must be nonnegative")
-    elif attr == "braid_plot_dir":
-        value = raw
-        if value not in ("bt", "tb", "lr", "rl"):
-            raise ValueError("BraidPlotDir must be one of 'bt','tb','lr','rl'")
-    else:  # loop_coords_base_point
-        value = raw
-        if value != "right":
-            raise ValueError("LoopCoordsBasePoint supports only 'right'")
-    return attr, value
 
 
 def get_prop(key: str):
@@ -127,7 +105,10 @@ def set_prop(key: str, raw) -> None:
     """Set a property from a raw (string or typed) value, with validation."""
     if key not in PROP_KEYS:
         raise KeyError(f"unknown property {key!r}")
-    attr, value = _parse(key, str(raw))
+    attr, convert, check, message = _PROPS[key]
+    value = convert(str(raw))
+    if check and not check(value):
+        raise ValueError(message)
     setattr(_properties, attr, value)
 
 

@@ -1,16 +1,17 @@
 """Exact matrix helpers: products, determinants, characteristic polynomials.
 
 Matrices are sequences of rows.  Products work over any commutative ring
-whose elements support ``+``, ``-`` and ``*``.  The determinant is
+whose elements support ``+``, ``-`` and ``*``.  The exact determinant is
 fraction-free Bareiss elimination (Math. Comp. 22, 1968), O(n^3) ring
 operations whose divisions are all exact by Sylvester's identity: ``//`` over
-the integers, true division over a field (Fractions, floats), and over Z[t,
-1/t] (the ``LaurentPoly`` entries of the Burau matrices) a packed step per
-pivot: the step's entries become integers at ``t = 2**K``, every numerator
-takes two big-int products, and every division is one multiplication by a
-2-adic inverse of the previous pivot (Jebelean, J. Symb. Comput. 15, 1993),
-with a certificate that ``K`` was wide enough.  This module never imports
-``braidkit.laurent``; it recognises the entries by the loaded module.  The
+the integers, true division over the Fractions, and over Z[t, 1/t] (the
+``LaurentPoly`` entries of the Burau matrices) a packed step per pivot: the
+step's entries become integers at ``t = 2**K``, every numerator takes two
+big-int products, and every division is one multiplication by a 2-adic
+inverse of the previous pivot (Jebelean, J. Symb. Comput. 15, 1993), with a
+certificate that ``K`` was wide enough.  This module never imports
+``braidkit.laurent``; it recognises the entries by the loaded module.  Float
+and complex determinants are numpy's LU factorisation.  The
 characteristic polynomial uses the division-free Berkowitz algorithm and
 stays in the ring of the entries throughout; the spectral radius and its
 logarithm are the floating-point helpers.
@@ -94,13 +95,16 @@ def _in_field(x) -> bool:
 
 
 def det_exact(A):
-    """Determinant by Bareiss fraction-free elimination.
+    """Determinant, exact except for float and complex entries.
 
-    Exact over the integers, where every division is an exact ``//``, and
-    over ``LaurentPoly`` entries with integer coefficients (ints may stand
-    among them), which take the packed elimination of :func:`_det_laurent`;
+    Integer and Fraction entries take Bareiss fraction-free elimination,
+    whose divisions are exact: ``//`` over the integers, ``/`` over the
+    Fractions.  ``LaurentPoly`` entries with integer coefficients (ints may
+    stand among them) take the packed elimination of :func:`_det_laurent`;
     integral coefficients of other types convert to int, and others, such
-    as floats, raise ``TypeError``.  Entries from a field divide with ``/``.
+    as floats, raise ``TypeError``.  A matrix with a float or complex entry
+    takes :func:`_det_lu`, which raises ``OverflowError`` when the
+    determinant is nonzero and outside the float range.
     """
     n = len(A)
     if n == 0:
@@ -108,6 +112,8 @@ def det_exact(A):
     laurent = sys.modules.get("braidkit.laurent")
     if laurent and any(isinstance(x, laurent.LaurentPoly) for row in A for x in row):
         return _det_laurent(A, laurent.LaurentPoly)
+    if any(isinstance(x, numbers.Complex) and not isinstance(x, numbers.Rational) for row in A for x in row):
+        return _det_lu(A)
     M = [list(row) for row in A]
     sign = 1
     prev = 1
@@ -125,6 +131,29 @@ def det_exact(A):
                 M[i][j] = num / prev if field or _in_field(num) else num // prev
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def _det_lu(A):
+    """Determinant of a matrix with float or complex entries, as ``sign *
+    exp(log|det|)`` from the LU factorisation with partial pivoting of
+    ``numpy.linalg.slogdet``; an exactly singular matrix gives 0.  Bareiss
+    elimination of floats, without pivoting on magnitude, loses every digit
+    on some well-scaled Burau matrices, and its product leaves the float
+    range on others.  A nonzero determinant whose float would be infinite or
+    below the smallest normal float raises ``OverflowError`` with its
+    ``log|det|``; a NaN or infinite entry raises ``ValueError``."""
+    import numpy as np
+
+    M = np.array(A, dtype=complex if any(not isinstance(x, numbers.Real) for row in A for x in row) else float)
+    if not np.isfinite(M).all():
+        raise ValueError("the determinant needs finite entries")
+    sign, logdet = np.linalg.slogdet(M)
+    if sign and not math.log(sys.float_info.min) <= logdet <= math.log(sys.float_info.max):
+        raise OverflowError(
+            f"the determinant, log|det| = {logdet:.6g}, leaves the float range; for an exact value "
+            "use an int or Fraction t, or burau(b) and then eval_at(t) on each entry"
+        )
+    return sign.item() * math.exp(logdet)
 
 
 def _det_laurent(A, poly):

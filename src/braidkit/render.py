@@ -186,60 +186,37 @@ def render_loop(l: Loop, spec: RenderSpec | None = None) -> str:
         xg = X(g + 1.5)
         junctions.append([(xg, Y((cnt - 1) / 2 - k)) for k in range(cnt)])
 
-    def take(line, over, loops, under):
-        """Split a line's junctions: overs on top, loop-end pairs inside,
-        unders at the bottom."""
-        cnt = len(line)
-        tops = [line[k] for k in range(over)]
-        bots = [line[cnt - 1 - k] for k in range(under)]
-        pairs = [(line[over + k], line[cnt - 1 - under - k]) for k in range(loops)]
-        return tops, pairs, bots
-
     paths = []
 
     def flat(p, level):
         y = Y(level)
         return (X(p) - 0.18 * sx, y), (X(p) + 0.18 * sx, y)
 
-    # caps wrap the outermost punctures
-    for k in range(nu[0] // 2):
-        a = junctions[0][k]
-        b = junctions[0][nu[0] - 1 - k]
-        xw = X(1) - (0.3 + 0.1 * k) * sx
-        paths.append([a, (xw, a[1]), (xw, b[1]), b])
-    if N >= 2:
-        for k in range(nu[-1] // 2):
-            a = junctions[-1][k]
-            b = junctions[-1][nu[-1] - 1 - k]
-            xw = X(N) + (0.3 + 0.1 * k) * sx
+    # caps wrap the outermost punctures, on the left and on the right
+    for line, x0, side in ((junctions[0], X(1), -1), (junctions[-1], X(N), 1)):
+        for k in range(len(line) // 2):
+            a, b = line[k], line[-1 - k]
+            xw = x0 + side * (0.3 + 0.1 * k) * sx
             paths.append([a, (xw, a[1]), (xw, b[1]), b])
 
+    # each junction line holds, top to bottom, the strands passing over the
+    # puncture, the ends of the loops turning around it, and those passing under
     for i in range(m):
         p = i + 2
         b_i = l.b[i]
-        lft = b_i if b_i > 0 else 0
-        rgt = -b_i if b_i < 0 else 0
-        over, under = mu[2 * i] - abs(b_i), mu[2 * i + 1] - abs(b_i)
-        ltops, lpairs, lbots = take(junctions[i], over, lft, under)
-        rtops, rpairs, rbots = take(junctions[i + 1], over, rgt, under)
-        for k in range(over):
-            u1, u2 = flat(p, lft + rgt + over - k)
-            paths.append([ltops[k], u1, u2, rtops[k]])
-        for k in range(under):
-            d1, d2 = flat(p, -(lft + rgt + under - k))
-            paths.append([lbots[k], d1, d2, rbots[k]])
-        for k in range(lft):
-            a, b = lpairs[k]
-            u1, u2 = flat(p, lft - k)
-            d1, d2 = flat(p, -(lft - k))
-            turn = X(p) + (0.3 + 0.08 * k) * sx
-            paths.append([a, u1, u2, (turn, u2[1]), (turn, d2[1]), d2, d1, b])
-        for k in range(rgt):
-            a, b = rpairs[k]
-            u1, u2 = flat(p, rgt - k)
-            d1, d2 = flat(p, -(rgt - k))
-            turn = X(p) - (0.3 + 0.08 * k) * sx
-            paths.append([a, u2, u1, (turn, u1[1]), (turn, d1[1]), d1, d2, b])
+        c = abs(b_i)
+        over, under = mu[2 * i] - c, mu[2 * i + 1] - c
+        left, right = junctions[i], junctions[i + 1]
+        for sign, count, ends in ((1, over, zip(left, right)), (-1, under, zip(left[::-1], right[::-1]))):
+            for k, (a, b) in zip(range(count), ends):
+                paths.append([a, *flat(p, sign * (c + count - k)), b])
+        # b_i > 0 turns loops from the left line around the puncture's right
+        # side, b_i < 0 from the right line around its left side
+        side, line = (1, left) if b_i > 0 else (-1, right)
+        for k in range(c):
+            (u1, u2), (d1, d2) = flat(p, c - k)[::side], flat(p, k - c)[::side]
+            turn = X(p) + side * (0.3 + 0.08 * k) * sx
+            paths.append([line[over + k], u1, u2, (turn, u2[1]), (turn, d2[1]), d2, d1, line[-1 - under - k]])
 
     parts = [_svg_header(W, H)]
     parts.append(

@@ -73,6 +73,19 @@ def test_bad_letters_report_the_first_one():
     assert bk.make_annular_braid(w for w in [1, -3]).nann == 3
 
 
+def test_sizes_must_be_integers():
+    # a fractional n used to build a braid whose loopcoords failed with a
+    # TypeError, a whole float was kept, and a numpy int was stored as one
+    import numpy as np
+    for make, word, size, field in [(bk.make_braid, [1], 2.5, "n"), (bk.make_braid, [1, 2], 3.0, "n"),
+                                    (bk.make_annular_braid, [1], 1.5, "nann")]:
+        with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {size}$"):
+            make(word, size)
+    b = bk.make_braid([1], np.int64(3))
+    assert type(b.n) is int and b == bk.make_braid([1], 3) and bk.loopcoords(b) == bk.loopcoords(bk.make_braid([1], 3))
+    assert type(bk.make_annular_braid([1], np.int32(2)).nann) is int
+
+
 def test_mul_matches_word_concatenation():
     a = bk.make_braid([1, -2])
     b = bk.make_braid([1, 2])

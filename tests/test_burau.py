@@ -1,5 +1,7 @@
 import importlib
+import math
 import numbers
+import sys
 import random
 from fractions import Fraction
 from unittest import mock
@@ -327,6 +329,50 @@ def test_det_exact_matches_cofactor_over_laurent_polys(M):
 @given(M=_square(st.fractions(-5, 5, max_denominator=4), max_n=4))
 def test_det_exact_matches_cofactor_over_fractions(M):
     assert det_exact(M) == _det_cofactor(M)
+
+
+# ------------------------------------------- determinants of float entries
+
+
+def test_float_det_takes_lu_with_pivoting():
+    # Bareiss elimination of floats, without pivoting on magnitude, gave
+    # -3375536.85 and 9.964 for these words, whose determinant is (-3)**2
+    for b in (bk.random_braid(7, 40, 19), bk.random_braid(5, 20, 17)):
+        assert bk.writhe(b) == 2
+        assert burau(b, 3.0).det() == pytest.approx(9, rel=1e-9)
+    assert det_exact([[1.0, 2.0], [2.0, 4.0]]) == 0 and det_exact([[0j]]) == 0
+    assert type(det_exact([[2.0, 1], [1, 1]])) is float and type(det_exact([[2j, 1], [1, 1]])) is complex
+    with pytest.raises(ValueError, match="finite entries"):
+        det_exact([[1.0, math.nan], [0, 1]])
+
+
+def test_float_det_outside_the_float_range_raises():
+    # det = (-t)**1200: 1e-361 at t = 0.5 and 1e572 at t = 3.0, which the
+    # float Bareiss returned as 0.0 and inf
+    b = bk.make_braid([1, 2] * 600, 3)
+    for t in (0.5, 3.0):
+        with pytest.raises(OverflowError, match=r"log\|det\| = .* int or Fraction t, or burau\(b\) and then eval_at"):
+            burau(b, t).det()
+    # the exact routes the message names
+    assert burau(b, Fraction(1, 2)).det() == Fraction(1, 2**1200)
+    assert burau(b, 3).det() == 3**1200 == burau(b).det().eval_at(3)
+    # at t = 0.5+0.5j, |det| = 2**-600 is in range, and real
+    d = burau(b, 0.5 + 0.5j).det()
+    assert type(d) is complex and d == pytest.approx(2.0**-600, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 7), t=st.floats(0.5, 2), data=st.data())
+def test_float_det_matches_the_writhe_or_raises(n, t, data):
+    letters = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    b = bk.make_braid(data.draw(st.lists(letters, max_size=60)), n)
+    w = bk.writhe(b)
+    try:
+        got = burau(b, t).det()
+    except OverflowError:
+        assert not math.log(sys.float_info.min) <= w * math.log(t) <= math.log(sys.float_info.max)
+    else:
+        assert got == pytest.approx((-t) ** w, rel=1e-9)
 
 
 def test_det_exact_laurent_singular_dense_and_mixed():

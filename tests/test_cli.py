@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 
 import pytest
 
@@ -258,12 +259,28 @@ def test_domain_error_exit_code(capsys):
     assert code == 1 and "Error:" in err
 
 
-@pytest.mark.parametrize("word, at", [("-1", "0"), ("1", "inf")])
+@pytest.mark.parametrize("word, at", [("-1", "0")])
 def test_burau_at_outside_domain_is_a_domain_error(capsys, word, at):
-    # 1/t at t = 0 divides by zero; t = inf has no integer or finite value
+    # 1/t at t = 0 divides by zero
     code, out, err = run(capsys, "burau", word, "--at", at)
     assert code == 1 and out == ""
     assert err.startswith("Error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("at", ["inf", "nan", "1e400", "abc"])
+def test_burau_at_that_is_not_a_finite_number_is_a_usage_error(capsys, at):
+    # these used to print "cannot convert float ... to integer" or "could
+    # not convert string to float", naming neither --at nor t
+    with pytest.raises(SystemExit) as exc:
+        main(["burau", "1 -2", "--at", at])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == f"braidkit burau: error: argument --at: t must be a finite number, got {at!r}"
+
+
+@pytest.mark.parametrize("at, text", [("2", "-2 2\n-1 0.5"), ("0.5", "-0.5 0.5\n-1 -1"), ("-1", "1 -1\n-1 2")])
+def test_burau_at_finite_values(capsys, at, text):
+    assert run(capsys, "burau", "1 -2", "--at", at) == (0, text, "")
 
 
 def test_burau_json_past_the_float_range_is_an_error(capsys):
@@ -341,3 +358,34 @@ def test_one_command_parser_adds_only_that_command_arguments():
     assert list(one) == list(full)
     assert len(one["entropy"]._actions) == len(full["entropy"]._actions) > 1
     assert all(len(p._actions) == 1 for name, p in one.items() if name != "entropy")  # -h only
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_commands():
+    """``(argv, value)`` for each line of the README's command-line block;
+    ``value`` is the text of a ``# value`` comment, or None."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, value = line.partition(" #")
+        argv = shlex.split(command)
+        assert argv[0] == "braidkit"
+        lines.append((argv[1:], value.strip() or None))
+    return lines
+
+
+def test_readme_command_examples(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ts = bk.trajectories_from_braid(bk.make_braid([1, -2, 3, 2, -1]))
+    bk.save_trajectories_csv(ts, "tracks.csv")
+    commands = _readme_commands()
+    assert len(commands) >= 20
+    for argv, value in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if value is not None:
+            assert out.splitlines()[0] == value, argv
