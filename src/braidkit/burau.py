@@ -35,6 +35,7 @@ that raises ``OverflowError`` outside the float range.
 """
 from __future__ import annotations
 
+import math
 import numbers
 
 from .braids import _as_braid
@@ -73,8 +74,23 @@ class BurauMatrix(Record):
         if self.symbolic:
             rows = [[p.to_json() for p in row] for row in self.entries]
         else:
-            rows = [[float(x) if not isinstance(x, int) else x for x in row] for row in self.entries]
+            rows = [[x if isinstance(x, int) else entry_float(x) for x in row] for row in self.entries]
         return {"dim": self.dim, "symbolic": self.symbolic, "entries": rows}
+
+
+def entry_float(x) -> float:
+    """An evaluated entry as a float, for JSON and display.  An exact entry
+    whose float would read 0 or infinite raises ``OverflowError``."""
+    try:
+        f = float(x)
+    except OverflowError:  # a Fraction past the float range
+        f = math.inf
+    if x and not 0 < abs(f) < math.inf:
+        raise OverflowError(
+            "a Burau entry leaves the float range; read it exactly from burau(b, t).entries, "
+            "or as a polynomial with --symbolic"
+        )
+    return f
 
 
 def _ring_rows(word, dim: int, t, tinv):
@@ -162,9 +178,6 @@ def _symbolic(word, dim: int):
 
 
 def _at_integer(word, dim: int, t: int):
-    if t == 0 and any(w < 0 for w in word):
-        raise ZeroDivisionError("an inverse generator needs 1/t, undefined at t = 0")
-
     def scale(row, k):
         if not k:
             return row
@@ -191,7 +204,9 @@ def burau(b, t=None):
     With ``t=None`` the entries are symbolic Laurent polynomials; otherwise
     they are numbers computed at ``t``.  An integer ``t`` gives exact ints,
     or Fractions where an entry is not an integer.  A float or complex
-    ``t`` raises ``OverflowError`` when an entry is not finite.
+    ``t`` raises ``OverflowError`` when an entry is not finite.  At a zero
+    ``t`` of any number type, a word with an inverse generator raises
+    ``ZeroDivisionError``, and a positive word gives its entries at 0.
     """
     b = _as_braid(b)
     n = b.n
@@ -200,10 +215,11 @@ def burau(b, t=None):
     word, dim = b.word, n - 1
     if t is None:
         return BurauMatrix(entries=tuple(tuple(r) for r in _symbolic(word, dim)), symbolic=True)
+    if t == 0 and any(w < 0 for w in word):
+        raise ZeroDivisionError("an inverse generator needs 1/t, undefined at t = 0")
     if isinstance(t, numbers.Integral):
         return BurauMatrix(entries=tuple(tuple(r) for r in _at_integer(word, dim, int(t))), symbolic=False)
-    tinv = 1 / t if word else t  # the empty word needs no inverse, even at t = 0
-    rows = _ring_rows(word, dim, t, tinv)
+    rows = _ring_rows(word, dim, t, 1 / t if t and word else t)  # the empty word and a zero t need no 1/t
     if not isinstance(t, numbers.Rational):
         from cmath import isfinite
 

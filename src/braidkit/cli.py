@@ -217,9 +217,9 @@ def _number(text: str):
 
 
 def _fmt_num(x):
-    if isinstance(x, int):
-        return str(x)
-    return f"{float(x):g}"
+    from .burau import entry_float
+
+    return str(x) if isinstance(x, int) else f"{entry_float(x):g}"
 
 
 def _cmd_alexander(args):

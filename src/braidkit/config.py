@@ -78,7 +78,7 @@ _PROPS = {
     "GenRotDir": ("gen_rot_dir", int, lambda v: v in (1, -1), "GenRotDir must be 1 or -1"),
     "GenLoopActDir": ("gen_loop_act_dir", str, lambda v: v in ("lr", "rl"), "GenLoopActDir must be 'lr' or 'rl'"),
     "GenPlotOverUnder": ("gen_plot_over_under", lambda raw: raw.lower() in ("1", "true", "yes", "on"), None, None),
-    "BraidAbsTol": ("braid_abs_tol", float, lambda v: not v < 0, "BraidAbsTol must be nonnegative"),
+    "BraidAbsTol": ("braid_abs_tol", float, lambda v: v >= 0, "BraidAbsTol must be nonnegative"),
     "BraidPlotDir": ("braid_plot_dir", str, lambda v: v in ("bt", "tb", "lr", "rl"),
                      "BraidPlotDir must be one of 'bt','tb','lr','rl'"),
     "LoopCoordsBasePoint": ("loop_coords_base_point", str, lambda v: v == "right",

@@ -60,7 +60,10 @@ class EntropyResult(Record):
 
 
 def entropy(b, tol: float = 1e-6, maxit: int = 1000) -> EntropyResult:
-    """Iterative entropy estimate in natural-log units per braid application."""
+    """Iterative entropy estimate in natural-log units per braid application;
+    a ``tol`` that is not a nonnegative number, NaN included, raises ``ValueError``."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     b = _as_braid(b)
     l0 = canonical_loop(b.n, basepoint=True)
     a, bb = list(l0.a), list(l0.b)

@@ -52,8 +52,8 @@ class TrajectorySet(Record):
     positions: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        positions = np.asarray(self.positions, dtype=float)
+        times = np.asarray(self.times, dtype=float, order="C")
+        positions = np.asarray(self.positions, dtype=float, order="C")
         if times.ndim != 1 or positions.ndim != 3 or positions.shape[2] != 2:
             raise ValueError("need times (T,) and positions (T, P, 2)")
         if positions.shape[0] != times.shape[0]:
@@ -139,10 +139,7 @@ def load_trajectories(source) -> TrajectorySet:
 
 
 def trajectories_from_json(data: dict) -> TrajectorySet:
-    return TrajectorySet(
-        times=np.asarray(data["times"], dtype=float),
-        positions=np.asarray(data["positions"], dtype=float),
-    )
+    return TrajectorySet(times=data["times"], positions=data["positions"])
 
 
 def _parse_csv(text: str) -> TrajectorySet:
@@ -151,11 +148,12 @@ def _parse_csv(text: str) -> TrajectorySet:
     if header is None or [h.strip().lower() for h in header] != ["t", "id", "x", "y"]:
         raise ValueError("CSV must start with the header 't,id,x,y'")
     rows = []
-    for row in reader:
-        if not row:
-            continue
-        t, pid, x, y = float(row[0]), int(row[1]), float(row[2]), float(row[3])
-        rows.append((t, pid, x, y))
+    for row in filter(None, reader):
+        try:
+            t, pid, x, y = row
+            rows.append((float(t), int(pid), float(x), float(y)))
+        except ValueError as exc:  # a row of other than four fields, or one that does not convert
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("no data rows")
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -163,27 +161,20 @@ def _parse_csv(text: str) -> TrajectorySet:
     P = len(ids)
     if ids != list(range(1, P + 1)):
         raise ValueError("particle ids must be 1-based contiguous integers")
-    if len(rows) % P != 0:
-        raise ValueError("ragged particle data: a sample is missing some particles")
-    times = []
-    positions = []
-    for k in range(0, len(rows), P):
-        block = rows[k : k + P]
-        t0 = block[0][0]
-        if any(r[0] != t0 for r in block) or [r[1] for r in block] != ids:
-            raise ValueError("ragged particle data: a sample is missing some particles")
-        times.append(t0)
-        positions.append([[r[2], r[3]] for r in block])
-    return TrajectorySet(times=np.asarray(times), positions=np.asarray(positions))
+    if len(rows) % P == 0:
+        data = np.array(rows).reshape(-1, P, 4)
+        # every sample holds one time and the ids 1..P in order
+        if (data[:, :, 0] == data[:, :1, 0]).all() and (data[:, :, 1] == ids).all():
+            return TrajectorySet(times=data[:, 0, 0], positions=data[:, :, 2:])
+    raise ValueError("ragged particle data: a sample is missing some particles")
 
 
 def save_trajectories_csv(ts: TrajectorySet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "id", "x", "y"])
-        for k in range(ts.nsamples):
-            for p in range(ts.nparticles):
-                w.writerow([ts.times[k], p + 1, ts.positions[k, p, 0], ts.positions[k, p, 1]])
+        frames = zip(ts.times.tolist(), ts.positions.tolist())
+        w.writerows([t, p, x, y] for t, frame in frames for p, (x, y) in enumerate(frame, 1))
 
 
 # -------------------------------------------------------- crossing detection
@@ -197,6 +188,8 @@ def _coincident(i, j):
 
 
 def _extract(ts: TrajectorySet, angle: float):
+    if not math.isfinite(angle):
+        raise ValueError(f"the projection angle must be finite, got {angle!r}")
     if ts.nparticles < 2 or ts.nsamples < 2:
         return [], [], list(range(ts.nparticles))
     tol = properties().braid_abs_tol
@@ -286,7 +279,8 @@ def _extract(ts: TrajectorySet, angle: float):
 
 
 def braid_from_data(ts: TrajectorySet, angle: float = 0.0) -> Braid:
-    """Braid of the trajectory set along the projection line at ``angle``."""
+    """Braid of the trajectory set along the projection line at ``angle``,
+    which must be finite: a NaN or infinite angle raises ``ValueError``."""
     word, _, _ = _extract(ts, angle)
     return Braid(word=tuple(word), n=ts.nparticles)
 
@@ -449,7 +443,8 @@ def ftbe(db: DataBraid, T: float | None = None, norm: str = "intaxis") -> float:
 
     One application of the braid to the canonical basepoint multiloop, log
     of the chosen length measure's growth, divided by the duration ``T``
-    (default: time between the first and last crossing).
+    (default: time between the first and last crossing), which must be
+    positive and finite: a NaN or infinite ``T`` raises ``ValueError``.
     """
     measures = {"intaxis": intaxis, "minlength": minlength}
     if norm not in measures:
@@ -458,8 +453,8 @@ def ftbe(db: DataBraid, T: float | None = None, norm: str = "intaxis") -> float:
         if len(db.tcross) < 2:
             raise ValueError("need at least 2 crossings to default the duration")
         T = db.tcross[-1] - db.tcross[0]
-    if T <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("duration must be positive and finite")
     measure = measures[norm]
     base = canonical_loop(db.braid.n, basepoint=True)
     image = act(db.braid, base)
@@ -477,43 +472,27 @@ def trajectories_from_braid(b: Braid, height: float = 0.5) -> TrajectorySet:
     passing above given a triangular bump of the given height.  Extracting a
     braid from the result at angle 0 recovers the input braid.
     """
-    P = b.n
+    P, word = b.n, b.word
     rot = properties().gen_rot_dir
-    word = b.word
-    if not word:
-        times = [0.0, 1.0]
-        pos = [[[float(p + 1), 0.0] for p in range(P)]] * 2
-        return TrajectorySet(times=np.asarray(times), positions=np.asarray(pos))
-    offsets = (0.0, 0.4, 0.7)
-    # bump heights at the sample offsets of the moving strands
-    bump = {0.0: 0.0, 0.4: 0.8 * height, 0.7: 0.6 * height}
-    x = [float(p + 1) for p in range(P)]  # position of the strand at slot start
-    where = list(range(P))  # particle (strand id) at each position
-    times = []
-    frames = []
+    bumps = ((0.0, 0.0), (0.4, 0.8 * height), (0.7, 0.6 * height))  # (time offset, height) of each sample
+    where = list(range(P))  # particle at each position
+    ranks = np.arange(1.0, P + 1)
+    pos = np.zeros((3 * len(word) + 1, P, 2))
     for slot, w in enumerate(word):
         i = abs(w) - 1
+        left, right = where[i], where[i + 1]
         up_is_left = (w > 0) == (rot > 0)
-        for off in offsets:
-            times.append(slot + off)
-            frame = [[0.0, 0.0] for _ in range(P)]
-            for pos_idx in range(P):
-                particle = where[pos_idx]
-                frame[particle][0] = float(pos_idx + 1)
-            left, right = where[i], where[i + 1]
-            frame[left][0] = i + 1 + off
-            frame[right][0] = i + 2 - off
-            h = bump[off]
-            frame[left][1] = h if up_is_left else -h
-            frame[right][1] = -h if up_is_left else h
-            frames.append(frame)
-        where[i], where[i + 1] = where[i + 1], where[i]
-    times.append(float(len(word)))
-    final = [[0.0, 0.0] for _ in range(P)]
-    for pos_idx in range(P):
-        final[where[pos_idx]][0] = float(pos_idx + 1)
-    frames.append(final)
-    return TrajectorySet(times=np.asarray(times), positions=np.asarray(frames))
+        frames = pos[3 * slot : 3 * slot + 3]
+        frames[:, where, 0] = ranks  # the rest frame, copied to each sample
+        for frame, (off, h) in zip(frames, bumps):
+            frame[left] = i + 1 + off, h if up_is_left else -h
+            frame[right] = i + 2 - off, -h if up_is_left else h
+        where[i], where[i + 1] = right, left
+    pos[-1, where, 0] = ranks
+    if not word:  # the identity braid stays at rest for one unit of time
+        return TrajectorySet(times=[0.0, 1.0], positions=[pos[0], pos[0]])
+    times = [slot + off for slot in range(len(word)) for off, _ in bumps] + [float(len(word))]
+    return TrajectorySet(times=times, positions=pos)
 
 
 def databraid_from_json(data: dict) -> DataBraid:

@@ -282,6 +282,41 @@ def test_burau_at_zero_for_positive_words(n, data):
         burau(bk.make_braid(w + [-(n - 1)] + w, n), 0)
 
 
+_ZEROS = [0, 0.0, -0.0, Fraction(0), 0j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_zero_t_follows_one_rule_in_every_number_type(n, data):
+    # 0.0, Fraction(0) and 0j used to divide by zero on positive words too
+    w = data.draw(st.lists(st.integers(1, n - 1), max_size=15))
+    at_zero = tuple(tuple(p.eval_at(0) for p in row) for row in burau(bk.make_braid(w, n)).entries)
+    inverse = bk.make_braid(w + [-(n - 1)] + w, n)
+    for zero in _ZEROS:
+        assert burau(bk.make_braid(w, n), zero).entries == at_zero
+        with pytest.raises(ZeroDivisionError, match=r"^an inverse generator needs 1/t, undefined at t = 0$"):
+            burau(inverse, zero)
+
+
+def test_evaluated_entries_past_the_float_range_refuse_json():
+    # exactly 1/3**700, which used to be written as 0.0, and (3/2)**2000,
+    # which failed with "integer division result too large for a float"
+    for b, t in ((bk.make_braid([-1] * 700, 2), 3), (bk.make_braid([1] * 2000, 2), Fraction(3, 2))):
+        B = burau(b, t)
+        assert isinstance(B[0, 0], Fraction) and B[0, 0]
+        with pytest.raises(OverflowError, match=r"burau\(b, t\)\.entries, or as a polynomial with --symbolic"):
+            B.to_json()
+    # in the float range, exact and float entries are written as before
+    rng = random.Random(8)
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        b = bk.make_braid([rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))], n)
+        for t in (2, -3, Fraction(2, 3), 0.5, -1.5):
+            B = burau(b, t)
+            want = [[x if isinstance(x, int) else float(x) for x in row] for row in B.entries]
+            assert B.to_json()["entries"] == want
+
+
 def test_evaluated_burau_past_the_float_range_raises():
     # at t = 1e-3 the entries of (s1 s2^-1)^300 pass 1e308; the row update
     # used to return them as NaN, which no later step could tell from a value

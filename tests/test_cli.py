@@ -204,6 +204,51 @@ def test_fromdata_and_ftbe(tmp_path, capsys):
     assert code == 0
 
 
+_ROWS = "t,id,x,y\n0,1,0,0\n0,2,1,0\n1,1,1,1\n1,2,0,-1\n"
+
+
+@pytest.mark.parametrize("cmd", ["fromdata", "ftbe"])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (_ROWS + "2,1,0\n2,2,1,0\n", 6),  # used to end in an IndexError traceback
+        ("t,id,x,y\n0,1,0,0,9\n0,2,1,0\n1,1,1,1\n1,2,0,-1\n", 2),  # used to drop the fifth field
+        (_ROWS + "2,1,abc,0\n2,2,1,0\n", 6),
+        (_ROWS + "2,1.5,0,0\n2,2,1,0\n", 6),
+    ],
+    ids=["short", "five-fields", "non-numeric", "fractional-id"],
+)
+def test_malformed_csv_row_is_a_one_line_error(tmp_path, capsys, cmd, text, line):
+    path = tmp_path / "tracks.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"Error: line {line}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fromdata", "{f}", "--angle", "nan"], "angle must be finite, got nan"),  # used to print < e >
+        (["fromdata", "{f}", "--angle", "inf"], "angle must be finite, got inf"),  # was "math domain error"
+        (["ftbe", "{f}", "--T", "nan"], "duration must be positive and finite"),  # used to print nan
+        (["ftbe", "{f}", "--T", "inf"], "duration must be positive and finite"),  # used to print 0.0000
+        (["entropy", "1 -2", "--tol", "nan"], "tol must be a nonnegative number"),  # printed 0.0000
+        (["prop", "set", "BraidAbsTol", "nan"], "BraidAbsTol must be nonnegative"),
+    ],
+)
+def test_nan_that_steers_a_result_is_a_one_line_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "tracks.json"
+    path.write_text(json.dumps(bk.trajectories_from_braid(bk.make_braid([1, -2, 1, 2])).to_json()))
+    try:
+        code, out, err = run(capsys, *(a.format(f=path) for a in argv))
+        assert bk.get_prop("BraidAbsTol") == 1e-10
+    finally:
+        bk.set_prop("BraidAbsTol", "1e-10")
+    assert code == 1 and out == ""
+    assert err.startswith("Error: ") and message in err and len(err.splitlines()) == 1
+
+
 def test_fromdata_closure_flag(tmp_path, capsys):
     ts = bk.trajectories_from_braid(bk.make_braid([1, 2]))
     path = tmp_path / "t.csv"
@@ -289,6 +334,14 @@ def test_burau_json_past_the_float_range_is_an_error(capsys):
     code, out, err = run(capsys, "--json", "burau", "1 -2 1 -2 1 -2 1 -2", "--at", "1e-300", "--n", "3")
     assert code == 1 and out == ""
     assert err.startswith("Error: ") and "float range" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_burau_at_entries_past_the_float_range_are_an_error(capsys, json_flag):
+    # the one entry is exactly 1/3**700; the command used to print 0 (or [[0.0]])
+    code, out, err = run(capsys, *json_flag, "burau", " ".join(["-1"] * 700), "--n", "2", "--at", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("Error: ") and "burau(b, t).entries" in err and len(err.splitlines()) == 1
 
 
 def test_json_output_rejects_non_finite_floats(capsys):

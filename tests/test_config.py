@@ -33,6 +33,18 @@ def test_set_and_validate():
         set_prop("NoSuchKey", "1")
 
 
+@pytest.mark.parametrize("raw", ["nan", "-1e-10"])
+def test_braid_abs_tol_must_be_a_nonnegative_number(raw):
+    # a NaN tolerance used to be accepted, after which two particles that
+    # coincide at a sample gave < -1 > instead of a CoincidentProjectionError
+    try:
+        with pytest.raises(ValueError, match="BraidAbsTol must be nonnegative"):
+            set_prop("BraidAbsTol", raw)
+        assert get_prop("BraidAbsTol") == 1e-10
+    finally:
+        set_prop("BraidAbsTol", "1e-10")
+
+
 def test_env_override_applies_at_import():
     code = "import braidkit; print(braidkit.get_prop('BraidAbsTol'))"
     out = subprocess.run(

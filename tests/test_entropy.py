@@ -25,6 +25,14 @@ PINNED = [
 ]
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-6])
+def test_entropy_tolerance_must_be_nonnegative(tol):
+    # at a NaN tol the window never settles: the call used to run 1,000
+    # iterations and return 0.0 for a braid of entropy 0.9624
+    with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+        entropy(bk.make_braid([1, -2]), tol=tol)
+
+
 @pytest.mark.parametrize("word,expected", PINNED)
 def test_entropy_pinned_values(word, expected):
     result = entropy(bk.make_braid(word))

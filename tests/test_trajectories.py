@@ -67,6 +67,52 @@ def test_load_csv_ragged_errors():
         load_trajectories(io.StringIO(text))
 
 
+_ROWS = "t,id,x,y\n0,1,0,0\n0,2,1,0\n1,1,1,1\n1,2,0,-1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_ROWS + "2,1,0\n2,2,1,0\n", "line 6: not enough values to unpack (expected 4, got 3)"),
+        # a fifth field used to be dropped without a word
+        ("t,id,x,y\n0,1,0,0,9\n0,2,1,0\n1,1,1,1\n1,2,0,-1\n", "line 2: too many values to unpack (expected 4)"),
+        (_ROWS + "\n\n2,1,abc,0\n2,2,1,0\n", "line 8: could not convert string to float: 'abc'"),
+        (_ROWS + "2,1.5,0,0\n2,2,1,0\n", "line 6: invalid literal for int() with base 10: '1.5'"),
+    ],
+    ids=["short", "five-fields", "non-numeric", "fractional-id"],
+)
+def test_load_csv_malformed_row_names_its_line(text, message):
+    with pytest.raises(ValueError) as err:
+        load_trajectories(io.StringIO(text))
+    assert str(err.value) == message
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.integers(1, 6).flatmap(
+        lambda P: st.tuples(
+            st.lists(_finite, min_size=1, max_size=6, unique=True).map(sorted),
+            st.lists(st.lists(st.tuples(_finite, _finite), min_size=P, max_size=P), min_size=6, max_size=6),
+        )
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_then_load_with_shuffled_rows_round_trips(tmp_path_factory, data, seed):
+    times, frames = data
+    ts = TrajectorySet(times=times, positions=frames[: len(times)])
+    path = tmp_path_factory.mktemp("csv") / "tracks.csv"
+    bk.save_trajectories_csv(ts, path)
+    head, *rows = path.read_text().splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)
+    back = load_trajectories(io.StringIO(head + "".join(rows)))
+    for got, want in ((back.times, ts.times), (back.positions, ts.positions)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # -0.0 and subnormals too
+
+
 def test_load_json():
     data = {"times": [0, 1], "positions": [[[0, 0], [1, 0]], [[0.1, 0], [1.1, 0]]]}
     ts = load_trajectories(io.StringIO(json.dumps(data)))
@@ -84,6 +130,43 @@ def test_trajectory_validation():
 
 
 # --------------------------------------------------------------- extraction
+
+
+@pytest.mark.parametrize("rot", [1, -1])
+def test_trajectories_from_braid_contract(rot):
+    from braidkit.config import properties
+
+    rng = random.Random(25)
+    props = properties()
+    props.gen_rot_dir = rot
+    try:
+        for _ in range(60):
+            b = rand_braid(rng)
+            ts = trajectories_from_braid(b, rng.choice([0.5, 0.2, 1.5]))
+            L = len(b.word)
+            assert ts.nsamples == (3 * L + 1 if L else 2) and ts.nparticles == b.n
+            # the strands a sample does not move sit at integer positions on y = 0
+            moving = np.zeros((ts.nsamples, b.n), dtype=bool)
+            order = list(range(b.n))
+            for slot, w in enumerate(b.word):
+                i = abs(w) - 1
+                moving[3 * slot + 1 : 3 * slot + 3, [order[i], order[i + 1]]] = True
+                order[i], order[i + 1] = order[i + 1], order[i]
+            rest = ts.positions[~moving]
+            assert np.array_equal(rest[:, 0], np.round(rest[:, 0])) and not rest[:, 1].any()
+            assert sorted(ts.positions[-1, :, 0]) == list(range(1, b.n + 1))
+            assert bk.lexeq(braid_from_data(ts), b)
+    finally:
+        props.gen_rot_dir = 1
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_raises(angle):
+    # a NaN angle used to give < e >, and an infinite one "math domain error"
+    ts = trajectories_from_braid(bk.make_braid([1, -2, 1, 2]))
+    for extract in (braid_from_data, databraid_from_data):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            extract(ts, angle)
 
 
 def test_single_swap_left_over():
@@ -395,6 +478,14 @@ def test_ftbe_oracle_value():
     assert ftbe(db) == pytest.approx(expected, rel=1e-15)
     expected_ml = math.log(bk.minlength(image)) - math.log(bk.minlength(base))
     assert ftbe(db, norm="minlength") == pytest.approx(expected_ml, rel=1e-15)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_ftbe_duration_must_be_positive_and_finite(T):
+    # a NaN duration used to give nan, and an infinite one 0.0
+    db = DataBraid(braid=bk.make_braid([1, -2]), tcross=(0.0, 1.0))
+    with pytest.raises(ValueError, match="duration must be positive and finite"):
+        ftbe(db, T=T)
 
 
 def test_ftbe_needs_two_crossings_or_T():
