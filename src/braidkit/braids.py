@@ -17,7 +17,7 @@ import math
 import numbers
 
 from . import action
-from .config import Record, replace
+from .config import Record, ints, replace
 
 
 def _key(b):
@@ -44,17 +44,15 @@ def _hash(b):
 
 
 def _check_word(b, size: str, extra: int, beyond: str):
-    """Store ``b.word`` as a tuple of ints, converting the letters once
-    unless all are exact ints already (for which ``int(x) is x``), and check,
+    """Store ``b.word`` as a tuple of ints (:func:`config.ints`: a letter
+    that is not a whole number raises ``TypeError``), and check,
     on the set of its letters in fewer passes, that each ``w`` is nonzero
     with ``|w| <= size - extra``; ``beyond`` formats the error for the first
     bad letter and the size.  A ``None`` size becomes the least that holds
     the word (``extra`` plus the largest index, and at least ``1 + extra``);
     any other size must be integral, stored as an int, or ``TypeError``
     names the field and the value."""
-    word = tuple(b.word)
-    if not set(map(type, word)) <= {int}:
-        word = tuple(map(int, word))
+    word = ints(b.word, "generators")
     object.__setattr__(b, "word", word)
     letters = set(word)
     top = getattr(b, size)
@@ -81,7 +79,8 @@ class Braid(Record):
     """A word of signed generator indices on ``n`` strands; ``n=None`` is
     the least strand count that supports the word (2 for the empty word).
     Any other ``n`` must be an integer (numpy ints convert to int); a float,
-    even a whole one, raises ``TypeError``."""
+    even a whole one, raises ``TypeError``.  The letters are stored as ints;
+    one that is not a whole number, such as 1.5, raises ``TypeError``."""
 
     word: tuple
     n: int | None
@@ -207,13 +206,14 @@ def writhe(b) -> int:
 
 
 def subbraid(b, keep) -> Braid:
-    """Braid of the kept strands only (1-based start positions, increasing).
+    """Braid of the kept strands only (1-based start positions, increasing;
+    a position that is not a whole number raises ``TypeError``).
 
     A crossing survives, re-indexed to the kept strands' current order, only
     when both of its strands are kept.
     """
     b = _as_braid(b)
-    keep = sorted(set(int(s) for s in keep))
+    keep = sorted(set(ints(keep, "kept strands")))
     if not keep:
         raise ValueError("keep must be nonempty")
     if keep[0] < 1 or keep[-1] > b.n:

@@ -80,7 +80,10 @@ class BurauMatrix(Record):
 
 def entry_float(x) -> float:
     """An evaluated entry as a float, for JSON and display.  An exact entry
-    whose float would read 0 or infinite raises ``OverflowError``."""
+    whose float would read 0 or infinite raises ``OverflowError``, and a
+    complex one ``TypeError``: the JSON format has no complex entry."""
+    if isinstance(x, complex):
+        raise TypeError(f"the JSON format has no complex Burau entry such as {x}; read them from burau(b, t).entries")
     try:
         f = float(x)
     except OverflowError:  # a Fraction past the float range

@@ -17,7 +17,7 @@ import braidkit as bk
 
 # Handlers reach the library through the lazy package, so a command loads
 # only the modules it calls; argparse needs the property names up front.
-from .config import PROP_KEYS, replace
+from .config import PROP_KEYS, properties, replace
 
 TAFFY_FIXTURES = {
     "taffy3": [-2, 1, 1, -2],
@@ -385,6 +385,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
+        properties()  # an invalid BRAIDKIT_<KEY> stops every command
         args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"Error: {exc}", file=sys.stderr)

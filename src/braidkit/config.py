@@ -3,9 +3,10 @@
 A single mutable :class:`Properties` instance holds the conventions used
 throughout the package (crossing-sign orientation, word application order,
 plotting direction, numerical tolerance for trajectory coincidence tests).
-Values may be overridden at import time through environment variables named
+Values may be overridden through environment variables named
 ``BRAIDKIT_<KEY>`` where ``<KEY>`` is the upper-cased property key, e.g.
-``BRAIDKIT_BRAIDABSTOL=1e-8``.
+``BRAIDKIT_BRAIDABSTOL=1e-8``, read when the record is first used; an
+invalid one raises ``ValueError`` naming the variable at every use.
 
 The record is read-mostly: mutate it only when no braid/loop operation is in
 flight (single-writer contract).
@@ -57,6 +58,25 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def ints(values, what: str) -> tuple:
+    """``values`` as a tuple of Python ints, kept as they are when all are
+    ints already; any other value must be a whole number (a numpy int, a
+    whole float), or ``TypeError`` names ``what`` and the value."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    out = []
+    for v in values:
+        try:
+            i = int(v)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != v:
+            raise TypeError(f"{what} must be integers, got {v!r}")
+        out.append(i)
+    return tuple(out)
+
+
 def replace(record, **changes):
     """A copy of ``record`` with ``changes`` to its fields, built by ``__init__``."""
     return type(record)(**{**dict(zip(record._fields, record._values(record))), **changes})
@@ -86,11 +106,27 @@ _PROPS = {
 }
 PROP_KEYS = {key: spec[0] for key, spec in _PROPS.items()}
 
-_properties = Properties()
+_properties = None
 
 
 def properties() -> Properties:
-    """Return the global configuration record."""
+    """Return the global configuration record, built on first use from the
+    defaults and the ``BRAIDKIT_<KEY>`` overrides."""
+    return _properties or _load()
+
+
+def _load() -> Properties:
+    global _properties
+    _properties = Properties()
+    for key in PROP_KEYS:
+        name = "BRAIDKIT_" + key.upper()
+        raw = os.environ.get(name)
+        if raw is not None:
+            try:
+                set_prop(key, raw)
+            except ValueError as exc:
+                _properties = None
+                raise ValueError(f"{name}={raw!r}: {exc}") from None
     return _properties
 
 
@@ -98,7 +134,7 @@ def get_prop(key: str):
     """Get a property by its public key, e.g. ``get_prop('BraidAbsTol')``."""
     if key not in PROP_KEYS:
         raise KeyError(f"unknown property {key!r}")
-    return getattr(_properties, PROP_KEYS[key])
+    return getattr(properties(), PROP_KEYS[key])
 
 
 def set_prop(key: str, raw) -> None:
@@ -109,14 +145,4 @@ def set_prop(key: str, raw) -> None:
     value = convert(str(raw))
     if check and not check(value):
         raise ValueError(message)
-    setattr(_properties, attr, value)
-
-
-def _apply_env_overrides() -> None:
-    for key in PROP_KEYS:
-        raw = os.environ.get("BRAIDKIT_" + key.upper())
-        if raw is not None:
-            set_prop(key, raw)
-
-
-_apply_env_overrides()
+    setattr(properties(), attr, value)

@@ -1,20 +1,19 @@
 """Exact matrix helpers: products, determinants, characteristic polynomials.
 
 Matrices are sequences of rows.  Products work over any commutative ring
-whose elements support ``+``, ``-`` and ``*``.  The exact determinant is
-fraction-free Bareiss elimination (Math. Comp. 22, 1968), O(n^3) ring
-operations whose divisions are all exact by Sylvester's identity: ``//`` over
-the integers, true division over the Fractions, and over Z[t, 1/t] (the
-``LaurentPoly`` entries of the Burau matrices) a packed step per pivot: the
-step's entries become integers at ``t = 2**K``, every numerator takes two
-big-int products, and every division is one multiplication by a 2-adic
-inverse of the previous pivot (Jebelean, J. Symb. Comput. 15, 1993), with a
-certificate that ``K`` was wide enough.  This module never imports
-``braidkit.laurent``; it recognises the entries by the loaded module.  Float
-and complex determinants are numpy's LU factorisation.  The
-characteristic polynomial uses the division-free Berkowitz algorithm and
-stays in the ring of the entries throughout; the spectral radius and its
-logarithm are the floating-point helpers.
+whose elements support ``+``, ``-`` and ``*``.  The exact determinant is one
+fraction-free Bareiss elimination (Math. Comp. 22, 1968), O(n^3) steps whose
+divisions are exact by Sylvester's identity: ``//`` over the Python integers,
+to which a rational matrix is cleared once, or over Z[t, 1/t] (the
+``LaurentPoly`` entries of the Burau matrices) a packed step: the entries
+become integers at ``t = 2**K``, every numerator takes two big-int products,
+and every division is one multiplication by a 2-adic inverse of the previous
+pivot (Jebelean, J. Symb. Comput. 15, 1993), with a certificate that ``K``
+was wide enough.  This module never imports ``braidkit.laurent``; it
+recognises the entries by the loaded module.  Float and complex determinants
+are numpy's LU factorisation.  The characteristic polynomial is the
+division-free Berkowitz algorithm in the ring of the entries; the spectral
+radius and its logarithm are the floating-point helpers.
 
 The slot codec of Kronecker substitution (Harvey, J. Symb. Comput. 44,
 2009) serves every module that packs integer polynomials or matrix rows into
@@ -90,47 +89,78 @@ def mat_vec(A, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in A)
 
 
-def _in_field(x) -> bool:
-    return isinstance(x, numbers.Number) and not isinstance(x, numbers.Integral)
-
-
 def det_exact(A):
     """Determinant, exact except for float and complex entries.
 
-    Integer and Fraction entries take Bareiss fraction-free elimination,
-    whose divisions are exact: ``//`` over the integers, ``/`` over the
-    Fractions.  ``LaurentPoly`` entries with integer coefficients (ints may
-    stand among them) take the packed elimination of :func:`_det_laurent`;
-    integral coefficients of other types convert to int, and others, such
-    as floats, raise ``TypeError``.  A matrix with a float or complex entry
-    takes :func:`_det_lu`, which raises ``OverflowError`` when the
-    determinant is nonzero and outside the float range.
+    Rational entries (ints, numpy ints, Fractions) take the elimination over
+    the Python integers, of ``D A``, ``D`` the common denominator, and one
+    division by ``D**n``: a Fraction when an entry is one, else an int.  A
+    matrix with a ``LaurentPoly`` takes :func:`_det_laurent`; every other
+    entry and coefficient there must be an integer, or ``TypeError``.  Any
+    other matrix takes :func:`_det_lu`, which raises ``OverflowError`` when
+    the determinant is nonzero and outside the float range.
     """
     n = len(A)
     if n == 0:
         return 1
+    flat = [x for row in A for x in row]
+    if all(type(x) is int for x in flat):
+        M = [list(row) for row in A]
+        return _bareiss(M, _int_step, 1)[0] * M[-1][-1]
     laurent = sys.modules.get("braidkit.laurent")
-    if laurent and any(isinstance(x, laurent.LaurentPoly) for row in A for x in row):
+    if laurent and any(isinstance(x, laurent.LaurentPoly) for x in flat):
         return _det_laurent(A, laurent.LaurentPoly)
-    if any(isinstance(x, numbers.Complex) and not isinstance(x, numbers.Rational) for row in A for x in row):
+    if not all(isinstance(x, numbers.Rational) for x in flat):
         return _det_lu(A)
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
+    M, D = _cleared(A)
+    sign, rows = _bareiss(M, _int_step, 1)
+    if _integral_block(A, rows):
+        return sign * M[-1][-1]
+    from fractions import Fraction
+
+    return Fraction(sign * M[-1][-1], D**n)
+
+
+def _cleared(A):
+    """A matrix of rationals as ``(D A, D)``: ``D`` the least common
+    denominator of its entries, and ``D A`` as lists of Python ints."""
+    D = math.lcm(*(int(x.denominator) for row in A for x in row))
+    return [[int(x.numerator) * (D // int(x.denominator)) for x in row] for row in A], D
+
+
+def _bareiss(M, step, one):
+    """Bareiss elimination of the square ``M`` in place: ``(sign, rows)``,
+    with ``sign * M[-1][-1]`` the determinant.  ``step(M, k, P)`` sets
+    ``a_ij <- (a_ij a_kk - a_ik a_kj) / P`` for ``i, j > k``, ``P`` the last
+    pivot (``one`` at first).  Zeros are falsy; a zero pivot swaps with the
+    first nonzero entry below it, and when there is none, at column ``k``,
+    that zero is the determinant.  ``rows`` are the source rows of the
+    leading rows reached: all of them, or the first ``k + 1``."""
+    n, sign = len(M), 1
+    order = list(range(n))
     for k in range(n - 1):
         if not M[k][k]:
-            pivot = next((r for r in range(k + 1, n) if M[r][k]), None)
-            if pivot is None:
-                return M[k][k]  # the zero of the entries' ring
-            M[k], M[pivot] = M[pivot], M[k]
+            r = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if r is None:
+                M[-1][-1] = M[k][k]
+                return sign, order[: k + 1]
+            M[k], M[r], order[k], order[r] = M[r], M[k], order[r], order[k]
             sign = -sign
-        field = _in_field(prev)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                M[i][j] = num / prev if field or _in_field(num) else num // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+        step(M, k, M[k - 1][k - 1] if k else one)
+    return sign, order
+
+
+def _integral_block(A, rows):
+    """Whether ``A`` on the source rows ``rows`` and as many leading columns
+    holds only integers, which makes a zero determinant the int 0."""
+    return all(isinstance(A[i][j], numbers.Integral) for i in rows for j in range(len(rows)))
+
+
+def _int_step(M, k, P):
+    """Step ``k`` over the integers, exact by Sylvester's identity."""
+    akk, pivot = M[k][k], M[k][k + 1 :]
+    for row in M[k + 1 :]:
+        row[k + 1 :] = [(aij * akk - row[k] * akj) // P for aij, akj in zip(row[k + 1 :], pivot)]
 
 
 def _det_lu(A):
@@ -157,61 +187,30 @@ def _det_lu(A):
 
 
 def _det_laurent(A, poly):
-    """Bareiss elimination over Z[t, 1/t] on ``(lowest, coeffs)`` pairs.
-
-    ``poly`` is the ``LaurentPoly`` class, the type of the result; int
-    entries are constants.  Step ``k`` is :func:`_bareiss_step`.  A zero
-    column below the diagonal ends the elimination with the zero the generic
-    elimination would return: an int when the leading block it has reached
-    holds only ints, else ``poly()``.
-    """
-    M = []
-    for row in A:
-        out = []
-        for x in row:
-            if isinstance(x, poly):
-                pair = (x.lowest, x.coeffs)
-            elif isinstance(x, numbers.Integral):
-                pair = (0, (int(x),) if x else ())
-            else:
-                raise TypeError(f"cannot take the determinant of LaurentPoly and {type(x).__name__} entries")
-            if type(sum(pair[1])) is not int:
-                pair = (pair[0], _int_coeffs(pair[1]))
-            out.append(pair)
-        M.append(out)
-    n = len(M)
-    order = list(range(n))
-    sign = 1
-    P = (0, (1,))  # the previous pivot
-    for k in range(n - 1):
-        if not M[k][k][1]:
-            r = next((r for r in range(k + 1, n) if M[r][k][1]), None)
-            if r is None:
-                block = (A[order[i]][j] for i in range(k + 1) for j in range(k + 1))
-                return poly() if any(isinstance(x, poly) for x in block) else 0
-            M[k], M[r] = M[r], M[k]
-            order[k], order[r] = order[r], order[k]
-            sign = -sign
-        _bareiss_step(M, k, P)
-        P = M[k][k]
-    lowest, coeffs = M[n - 1][n - 1]
+    """The elimination over Z[t, 1/t]; ``poly`` is the ``LaurentPoly`` class,
+    the type of the result, and int entries are constants."""
+    M = [[_pair(x, poly) for x in row] for row in A]
+    sign, rows = _bareiss(M, _bareiss_step, (0, (1,)))
+    if _integral_block(A, rows):
+        return 0
+    lowest, coeffs = M[-1][-1] or (0, ())
     return poly(lowest, coeffs if sign > 0 else tuple([-c for c in coeffs]))
 
 
-def _int_coeffs(coeffs):
-    """``coeffs`` as ints: integral values of any type (numpy ints, a
-    Fraction with denominator 1) convert, others raise ``TypeError``."""
-    if not all(isinstance(c, numbers.Rational) and int(c) == c for c in coeffs):
-        raise TypeError("the determinant of LaurentPoly entries needs integer coefficients")
-    return tuple(map(int, coeffs))
+def _pair(x, poly):
+    """An entry as ``(lowest, coeffs)`` with int coefficients, ``None`` for
+    zero; any other entry is a constant, and must be an integer."""
+    lowest, coeffs = (x.lowest, x.coeffs) if isinstance(x, poly) else (0, (x,))
+    if type(sum(coeffs)) is not int:
+        if not all(isinstance(c, numbers.Rational) and int(c) == c for c in coeffs):
+            raise TypeError(f"the determinant of LaurentPoly entries needs integer coefficients, got {coeffs}")
+        coeffs = tuple(map(int, coeffs))
+    return (lowest, coeffs) if coeffs and coeffs[0] else None
 
 
 def _bareiss_step(M, k, P):
-    """Step ``k`` of the elimination over Z[t, 1/t], in place on the rows
-    of ``(lowest, coeffs)`` pairs below row ``k``: ``a_ij <- (a_ij a_kk -
-    a_ik a_kj) / P`` for ``i, j > k``, ``P`` the previous pivot.
-
-    ``B_ij = |a_ij| |a_kk|_1 + |a_ik| |a_kj|_1`` bounds the numerator's
+    """Step ``k`` of :func:`_bareiss` over Z[t, 1/t], on ``(lowest, coeffs)``
+    pairs.  ``B_ij = |a_ij| |a_kk|_1 + |a_ik| |a_kj|_1`` bounds the numerator's
     coefficients (``|.|`` the largest in size, ``|.|_1`` the sum of sizes).
     The step starts at the slot width ``K`` that holds every ``B_ij`` and
     every packed coefficient below ``2**(K-2)``; when a quotient fails its
@@ -221,8 +220,8 @@ def _bareiss_step(M, k, P):
     """
     n = len(M)
     pc = P[1]
-    norm1 = [sum(map(abs, c)) for _, c in M[k][k:]]
-    norm = [[max(map(abs, c), default=0) for _, c in row[k:]] for row in M[k + 1 :]]
+    norm1 = [sum(map(abs, x[1])) if x else 0 for x in M[k][k:]]
+    norm = [[max(map(abs, x[1])) if x else 0 for x in row[k:]] for row in M[k + 1 :]]
     bound = [[r[j] * norm1[0] + r[0] * norm1[j] for j in range(1, n - k)] for r in norm]
     top = max(max(map(max, bound)), max(map(max, norm)), max(norm1), max(map(abs, pc)))
     K = _slot_bits(top.bit_length())
@@ -266,13 +265,13 @@ def _eliminate(M, k, P, bound, K):
     odd = packed >> v
     lkk, ckk = M[k][k]
     akk, dkk = _pack(ckk, K), len(ckk) - 1
-    pivot_row = [(lo, _pack(c, K), len(c) - 1) if c else None for lo, c in M[k][k + 1 :]]
+    pivot_row = [x and (x[0], _pack(x[1], K), len(x[1]) - 1) for x in M[k][k + 1 :]]
     nums = []
     for row, brow in zip(M[k + 1 :], bound):
-        lik, cik = row[k]
+        lik, cik = row[k] or (0, ())
         aik, dik = (_pack(cik, K), len(cik) - 1) if cik else (0, 0)
         out = []
-        for (lij, cij), kj, b in zip(row[k + 1 :], pivot_row, brow):
+        for (lij, cij), kj, b in zip([x or (0, ()) for x in row[k + 1 :]], pivot_row, brow):
             # the two products as (lowest exponent, highest exponent, value)
             terms = []
             if cij:
@@ -295,7 +294,7 @@ def _eliminate(M, k, P, bound, K):
         new = []
         for x in out:
             if x is None:
-                new.append((0, ()))
+                new.append(None)
                 continue
             N, e, dn, b = x
             dq = max(dn - dp, 0)
@@ -340,9 +339,12 @@ def charpoly(A):
     Returns the monic coefficient vector ``[1, c_{n-1}, ..., c_0]`` of
     ``det(xI - A)``, computed division-free (Berkowitz), so exact over the
     integers and over ``LaurentPoly``.  ``A`` is raw rows or any matrix
-    with ``.entries`` (``LinearAction``, ``BurauMatrix``).
+    with ``.entries`` (``LinearAction``, ``BurauMatrix``); integral entries
+    such as numpy ints become ints first.
     """
     A = getattr(A, "entries", A)
+    if not all(type(x) is int for row in A for x in row):
+        A = [[int(x) if isinstance(x, numbers.Integral) else x for x in row] for row in A]
     n = len(A)
     if n == 0:
         return (1,)
@@ -369,30 +371,28 @@ def charpoly(A):
 
 def _shifted_radius(A):
     """``(r, shift)`` with ``r * 2**shift`` the largest eigenvalue modulus of
-    ``A``.  Integer entries past 500 bits are shifted right first (eigenvalues
-    scale exactly), so any exact integer matrix is fine and ``r`` keeps double
-    precision.  Other rationals (Fractions, numpy ints) take the same path as
-    ``L A``, ``L`` their common denominator, whose ``2**-bits(L)`` joins the
-    shift, so no entry has to fit a float.  Other numbers go to numpy as
-    complex numbers when one entry is complex and as floats otherwise,
-    scaled exactly by ``2**-e``, ``e`` the binary exponent of the largest
-    real or imaginary part, which joins the shift; a NaN or infinite entry
-    raises ``ValueError``."""
+    ``A``.  Rational entries other than ints become ``D A``, ``D`` their
+    common denominator, with ``r`` scaled by ``2**bits(D) / D`` and
+    ``bits(D)`` taken from the shift; integers past 500 bits are shifted
+    right (eigenvalues scale exactly), so no entry has to fit a float.
+    Other numbers go to numpy, complex when one entry is, scaled exactly by
+    ``2**-e``, ``e`` the binary exponent of the largest real or imaginary
+    part, which joins the shift; a NaN or infinite entry raises
+    ``ValueError``."""
     import numpy as np
 
     A = getattr(A, "entries", A)
     flat = [x for row in A for x in row]
-    if all(isinstance(x, int) for x in flat):
-        maxabs = max(map(abs, flat), default=0)
+    D, bits = 1, 0
+    exact = all(isinstance(x, int) for x in flat)
+    if exact or all(isinstance(x, numbers.Rational) for x in flat):
+        A, D = (A, 1) if exact else _cleared(A)
+        bits = 0 if exact else D.bit_length()
+        maxabs = max((abs(x) for row in A for x in row), default=0)
         if maxabs == 0:
             return 0.0, 0
         shift = max(0, maxabs.bit_length() - 500)
         M = np.array([[float(x >> shift) for x in row] for row in A])
-    elif all(isinstance(x, numbers.Rational) for x in flat):
-        L = math.lcm(*(int(x.denominator) for x in flat))
-        r, shift = _shifted_radius([[int(x.numerator) * (L // int(x.denominator)) for x in row] for row in A])
-        bits = L.bit_length()
-        return r * ((1 << bits) / L), shift - bits
     elif all(isinstance(x, numbers.Number) for x in flat):
         M = np.array(A, dtype=complex if any(not isinstance(x, numbers.Real) for x in flat) else float)
         parts = M.view(float)  # a complex entry is two floats
@@ -405,7 +405,7 @@ def _shifted_radius(A):
         M = np.ldexp(parts, -shift).view(M.dtype)
     else:
         raise TypeError("the spectral radius needs numeric entries; evaluate a symbolic matrix at a value of t first")
-    return float(np.max(np.abs(np.linalg.eigvals(M)))), shift
+    return float(np.max(np.abs(np.linalg.eigvals(M)))) * ((1 << bits) / D), shift - bits
 
 
 def spectral_radius(A) -> float:

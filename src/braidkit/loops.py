@@ -18,14 +18,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .config import Record
+from .config import Record, ints
 
 
 class Loop(Record):
     """A multiloop in coordinate form.
 
     ``a`` and ``b`` have equal length ``m >= 1``; the underlying disk has
-    ``totaln = m + 2`` punctures.
+    ``totaln = m + 2`` punctures.  The coordinates are stored as tuples of
+    Python ints, so the action never overflows; numpy ints and whole floats
+    convert, and any other value raises ``TypeError``.
     """
 
     a: tuple
@@ -33,8 +35,11 @@ class Loop(Record):
     basepoint: bool = False
 
     def __post_init__(self):
-        if len(self.a) != len(self.b) or len(self.a) < 1:
+        a, b = ints(self.a, "loop coordinates"), ints(self.b, "loop coordinates")
+        if len(a) != len(b) or len(a) < 1:
             raise ValueError("coordinate halves must be nonempty and equal length")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def totaln(self) -> int:

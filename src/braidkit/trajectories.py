@@ -89,7 +89,8 @@ class Crossing(Record):
 
 
 class DataBraid(Record):
-    """A braid word together with the sorted crossing times that produced it."""
+    """A braid word together with the sorted crossing times that produced it;
+    a NaN or infinite time raises ``ValueError``."""
 
     braid: Braid
     tcross: tuple
@@ -98,6 +99,8 @@ class DataBraid(Record):
         tcross = tuple(float(t) for t in self.tcross)
         if len(tcross) != len(self.braid.word):
             raise ValueError("need exactly one crossing time per generator")
+        if not all(map(math.isfinite, tcross)):
+            raise ValueError("crossing times must be finite")
         if any(tcross[i] > tcross[i + 1] for i in range(len(tcross) - 1)):
             raise ValueError("crossing times must be nondecreasing")
         object.__setattr__(self, "tcross", tcross)
@@ -406,7 +409,7 @@ def db_equals(a: DataBraid, b: DataBraid) -> bool:
 
 def db_trunc(db: DataBraid, t0: float, t1: float) -> DataBraid:
     """Keep only the generators with crossing times in ``[t0, t1]``."""
-    if t0 > t1:
+    if not t0 <= t1:  # NaN bounds too
         raise ValueError("need t0 <= t1")
     keep = [(w, t) for w, t in zip(db.braid.word, db.tcross) if t0 <= t <= t1]
     word = tuple(w for w, _ in keep)

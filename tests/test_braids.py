@@ -73,6 +73,20 @@ def test_bad_letters_report_the_first_one():
     assert bk.make_annular_braid(w for w in [1, -3]).nann == 3
 
 
+def test_letters_and_kept_strands_must_be_whole_numbers():
+    # 1.5 and -2.7 were truncated to < 1 -2 >, and [1.7, 2.2, 4] kept
+    # strands 1, 2 and 4
+    for bad, first in [([1.5, -2.7], 1.5), ([1, float("nan")], "nan"), ([1, "2"], "'2'")]:
+        with pytest.raises(TypeError, match=rf"^generators must be integers, got {first}$"):
+            bk.make_braid(bad)
+    with pytest.raises(TypeError, match="generators must be integers"):
+        bk.make_annular_braid([2, 0.5])
+    b = bk.make_braid([1, -2, 3, 2, -1], 5)
+    with pytest.raises(TypeError, match=r"^kept strands must be integers, got 1\.7$"):
+        bk.subbraid(b, [1.7, 2.2, 4])
+    assert bk.subbraid(b, [1.0, 2, 4]) == bk.subbraid(b, [1, 2, 4])
+
+
 def test_sizes_must_be_integers():
     # a fractional n used to build a braid whose loopcoords failed with a
     # TypeError, a whole float was kept, and a numpy int was stored as one

@@ -317,6 +317,14 @@ def test_evaluated_entries_past_the_float_range_refuse_json():
             assert B.to_json()["entries"] == want
 
 
+def test_complex_entries_refuse_json_by_name():
+    # float() of a complex entry raised "float() argument must be a string or
+    # a real number, not 'complex'"
+    B = burau(bk.make_braid([1, 2]), 1.25 + 0.5j)
+    with pytest.raises(TypeError, match=r"^the JSON format has no complex Burau entry"):
+        B.to_json()
+
+
 def test_evaluated_burau_past_the_float_range_raises():
     # at t = 1e-3 the entries of (s1 s2^-1)^300 pass 1e308; the row update
     # used to return them as NaN, which no later step could tell from a value

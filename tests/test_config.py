@@ -64,3 +64,31 @@ def test_annular_single_puncture_ring_generator():
     inv = bk.make_annular_braid([-1])
     assert inv.to_braid().word == (-1, -1)
     assert bk.istrivial(bk.mul(ab.to_braid(), inv.to_braid()))
+
+
+@pytest.mark.parametrize("name, raw", [("BRAIDKIT_GENROTDIR", "x"), ("BRAIDKIT_BRAIDABSTOL", "-1"),
+                                       ("BRAIDKIT_BRAIDABSTOL", "nan")])
+def test_invalid_env_override_is_one_error_line(name, raw):
+    # the override was applied at import, before the CLI's error handling,
+    # so every command ended in a traceback
+    out = subprocess.run(
+        [sys.executable, "-B", "-m", "braidkit.cli", "entropy", "1 -2"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, name: raw},
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith(f"Error: {name}={raw!r}: ") and out.stderr.count("\n") == 1
+
+
+def test_invalid_env_override_names_the_variable(monkeypatch):
+    from braidkit import config
+
+    monkeypatch.setattr(config, "_properties", None)
+    monkeypatch.setenv("BRAIDKIT_GENLOOPACTDIR", "up")
+    for use in (bk.properties, lambda: get_prop("GenRotDir"), lambda: set_prop("GenRotDir", "1"),
+                lambda: bk.act(bk.make_braid([1]), bk.make_loop([0, -1]))):
+        with pytest.raises(ValueError, match="^BRAIDKIT_GENLOOPACTDIR='up': GenLoopActDir must be 'lr' or 'rl'$"):
+            use()
+    monkeypatch.setenv("BRAIDKIT_GENLOOPACTDIR", "rl")
+    assert get_prop("GenLoopActDir") == "rl" and bk.properties() is config._properties

@@ -371,3 +371,46 @@ def test_inverse_mod_power_of_two(m):
         for q in (p, -p):
             x = _inverse_mod_power_of_two(q, m)
             assert 0 <= x < 2**m and q * x % 2**m == 1 % 2**m
+
+
+# ------------------------------------------- determinants over the rationals
+
+# ints, numpy int64 up to 2**62 (whose products overflow int64), Fractions
+_rational_entries = st.one_of(
+    small_ints,
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.fractions(-9, 9, max_denominator=12),
+    st.sampled_from([0, Fraction(0), Fraction(2)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_square(_rational_entries, max_n=5))
+def test_det_exact_matches_cofactor_over_the_rationals(M):
+    got = det_exact(M)
+    assert got == _det_cofactor([[x if isinstance(x, Fraction) else int(x) for x in row] for row in M])
+    fractions = any(isinstance(x, Fraction) for row in M for x in row)
+    # a nonzero determinant ran the whole elimination: a Fraction exactly
+    # when an entry is one; numpy ints give an int
+    if got or not fractions:
+        assert type(got) is (Fraction if fractions else int)
+
+
+def test_det_exact_of_numpy_ints_is_exact():
+    # int64 arithmetic gave np.int64(-15)
+    M = np.array([[2**40, 3], [5, 2**40]])
+    got = det_exact(M)
+    assert got == 2**80 - 15 and type(got) is int
+    assert type(det_exact(np.array([[7]]))) is int
+    coeffs = charpoly(M)
+    assert coeffs == (1, -(2**41), 2**80 - 15) and all(type(c) is int for c in coeffs)
+
+
+def test_det_exact_zero_types_over_the_rationals():
+    # a zero column: the zero of the leading block the elimination reached
+    assert _same(det_exact([[Fraction(0), 1], [0, 1]]), Fraction(0))
+    assert _same(det_exact([[0, Fraction(1, 2)], [0, 1]]), 0)
+    assert _same(det_exact([[1, 2], [2, 4]]), 0)
+    assert _same(det_exact([[1, Fraction(1, 2)], [2, 1]]), Fraction(0))
+    assert _same(det_exact([[Fraction(1, 3), 1], [1, Fraction(1, 2)]]), Fraction(-5, 6))
+    assert _same(det_exact([[Fraction(2)]]), Fraction(2))

@@ -146,3 +146,20 @@ def test_accessors_and_round_trip():
     lbp = bk.canonical_loop(5, basepoint=True)
     assert lbp.n == 5 and lbp.totaln == 6
     assert bk.loop_from_json(lbp.to_json()) == lbp
+
+
+def test_loop_coordinates_are_python_ints():
+    # int64 coordinates overflowed under the action: the image below was
+    # (2039794562012071225, 3424192270742303141)
+    import numpy as np
+
+    l = bk.make_loop(np.array([0, -1]))
+    assert l == bk.make_loop([0, -1]) and all(type(c) is int for c in l.coords)
+    image = bk.act(bk.make_braid([1, -2] * 60), l)
+    assert image.coords == (5358359254990966640871840, -3311648143516982017180081)
+    assert bk.make_loop([2.0, -1]).coords == (2, -1)
+    for bad in ([0.5, -1], [0, float("inf")]):
+        with pytest.raises(TypeError, match="^loop coordinates must be integers"):
+            bk.make_loop(bad)
+    with pytest.raises(TypeError, match="loop coordinates"):
+        bk.Loop(a=(1,), b=(np.float64(0.25),))

@@ -426,6 +426,29 @@ def test_db_trunc():
         db_trunc(db, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_databraid_refuses_nan_and_infinite_crossing_times(bad):
+    # a NaN time passed the nondecreasing check, after which db_mul accepted
+    # it in either order and db_trunc dropped its generator
+    from braidkit import databraid_from_json, db_mul
+
+    data = {"word": [1, 2], "n": 3, "tcross": [bad, 0.5]}
+    with pytest.raises(ValueError, match="crossing times must be finite"):
+        databraid_from_json(data)
+    late = DataBraid(braid=bk.make_braid([1], 3), tcross=(0.1,))
+    for pair in ((data, late), (late, data)):
+        with pytest.raises(ValueError, match="crossing times must be finite"):
+            db_mul(*(x if isinstance(x, DataBraid) else databraid_from_json(x) for x in pair))
+    db = DataBraid(braid=bk.make_braid([1, -2, 1]), tcross=(0.1, 0.5, 0.9))
+    with pytest.raises(ValueError, match="crossing times must be finite"):
+        DataBraid(braid=db.braid, tcross=(0.1, bad, 0.9))
+    # NaN bounds select nothing silently no more
+    for t0, t1 in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="t0 <= t1"):
+            db_trunc(db, t0, t1)
+    assert db_trunc(db, -math.inf, math.inf) == db
+
+
 def test_db_compact_deletion_only():
     db = DataBraid(braid=bk.make_braid([1, -1], 3), tcross=(0.1, 0.2))
     out = db_compact(db)
