@@ -60,21 +60,15 @@ class Record:
 
 def ints(values, what: str) -> tuple:
     """``values`` as a tuple of Python ints, kept as they are when all are
-    ints already; any other value must be a whole number (a numpy int, a
-    whole float), or ``TypeError`` names ``what`` and the value."""
+    ints already.  Any other value must be an integer (such as a numpy int)
+    or a whole float, or ``TypeError`` names ``what`` and the value."""
     values = tuple(values)
-    if set(map(type, values)) <= {int}:
-        return values
-    out = []
-    for v in values:
-        try:
-            i = int(v)
-        except (TypeError, ValueError, OverflowError):
-            i = None
-        if i is None or i != v:
-            raise TypeError(f"{what} must be integers, got {v!r}")
-        out.append(i)
-    return tuple(out)
+    if not set(map(type, values)) <= {int}:
+        for v in values:
+            if not hasattr(v, "__index__") and not (isinstance(v, float) and v.is_integer()):
+                raise TypeError(f"{what} must be integers, got {v!r}")
+        values = tuple(map(int, values))
+    return values
 
 
 def replace(record, **changes):
